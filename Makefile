@@ -10,7 +10,7 @@ GO ?= go
 # bench-smoke passes 1x to guard against bit-rot without timing flakiness).
 BENCHTIME ?= 1s
 
-.PHONY: all build test vet lint race tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
+.PHONY: all build test vet lint race tier1 perfbench-check ci ci-full bench bench-tail bench-json bench-smoke bench-regress chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
 
 all: ci
 
@@ -37,9 +37,16 @@ race:
 # checkout.
 tier1: build test
 
+# perfbench is its own Go module (it builds against this one through a
+# replace directive), so `go build ./...` never compiles it. This target
+# vets and tests it, so an API change that breaks the repo benchmark fails
+# CI instead of the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # ci mirrors the CI tier1 job exactly (vet, lint, build, test, race,
-# bench-smoke).
-ci: vet lint tier1 race bench-smoke
+# bench-smoke, perfbench-check).
+ci: vet lint tier1 race bench-smoke perfbench-check
 
 # ci-full runs every CI job locally.
 ci-full: ci chaos-short chaos-tcp sim-fast sim-scale fuzz-smoke bench-regress
@@ -52,8 +59,8 @@ bench:
 bench-tail:
 	$(GO) test -run 'XXX' -bench 'ReadTailLatency|EpsilonBenignHedged|EpsilonMaskingHedged' -benchtime 2s .
 
-# The data-plane throughput numbers: codec encode/decode cost (binary vs the
-# gob baseline) and end-to-end ops/sec over MemNetwork and TCP, recorded as
+# The data-plane throughput numbers: binary codec encode/decode cost and
+# end-to-end ops/sec over MemNetwork and TCP, recorded as
 # machine-readable JSON so the perf trajectory across PRs has data points.
 # Staged through a temp file rather than a pipe so a benchmark failure
 # fails the target (/bin/sh has no pipefail).

@@ -2,7 +2,12 @@ package pqs
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"pqs/internal/quorum"
+	"pqs/internal/sim"
+	"pqs/internal/wire"
 )
 
 func TestLocalClusterDiffusion(t *testing.T) {
@@ -12,7 +17,7 @@ func TestLocalClusterDiffusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(25, 2)
+	cluster, err := NewCluster(ClusterConfig{N: 25, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +50,10 @@ func TestLocalClusterDiffusion(t *testing.T) {
 }
 
 func TestLocalClusterValidation(t *testing.T) {
-	if _, err := NewLocalCluster(0, 1); err == nil {
+	if _, err := NewCluster(ClusterConfig{N: 0, Seed: 1}); err == nil {
 		t.Error("zero-size cluster accepted")
 	}
-	cluster, err := NewLocalCluster(3, 1)
+	cluster, err := NewCluster(ClusterConfig{N: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,7 @@ func TestMultiCellFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalClusterCells(cells, n, 3)
+	cluster, err := NewCluster(ClusterConfig{Cells: cells, N: n, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +84,7 @@ func TestMultiCellFacade(t *testing.T) {
 	}
 	client, err := NewClient(ClientConfig{
 		System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 1,
-		Cells: cells,
+		Topology: Topology{Cells: cells},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,5 +122,71 @@ func TestMultiCellFacade(t *testing.T) {
 	cluster.RecoverCell(victim)
 	if r, err := client.Read(ctx, keys[0]); err != nil || string(r.Value) != "v-"+keys[0] {
 		t.Fatalf("read after RecoverCell: %+v %v", r, err)
+	}
+}
+
+// TestCrashCellSingleCell: a cluster built without an explicit cell count
+// still has one cell, and CrashCell(0)/RecoverCell(0) address all of it.
+func TestCrashCellSingleCell(t *testing.T) {
+	sys, err := New(Config{N: 5, Q: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := NewCluster(ClusterConfig{N: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cluster.Cells() != 1 {
+		t.Fatalf("Cells() = %d, want 1", cluster.Cells())
+	}
+	client, err := NewClient(ClientConfig{System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cluster.CrashCell(0)
+	if _, err := client.Write(ctx, "k", []byte("v")); !errors.Is(err, ErrNoReplies) {
+		t.Fatalf("write to a crashed single-cell cluster: err = %v, want ErrNoReplies", err)
+	}
+	cluster.RecoverCell(0)
+	if _, err := client.Write(ctx, "k", []byte("v")); err != nil {
+		t.Fatalf("write after RecoverCell(0): %v", err)
+	}
+}
+
+// TestNewClusterMatchesSim: pqs.NewCluster and sim.NewClusterCfg lay out
+// the same replicas for one config, and cell c of the public cluster owns
+// exactly servers [c*N, (c+1)*N).
+func TestNewClusterMatchesSim(t *testing.T) {
+	ctx := context.Background()
+	for _, cells := range []int{0, 1, 4} {
+		cfg := ClusterConfig{Cells: cells, N: 5, Seed: 1}
+		lc, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := sim.NewClusterCfg(cfg)
+		if lc.N() != cfg.Total() || sc.N() != cfg.Total() {
+			t.Fatalf("cells=%d: sizes pqs %d, sim %d, want %d", cells, lc.N(), sc.N(), cfg.Total())
+		}
+		for i, r := range lc.Replicas() {
+			if int(r.ID()) != i || sc.Replicas[i].ID() != r.ID() {
+				t.Fatalf("cells=%d: replica %d ids pqs %d, sim %d", cells, i, r.ID(), sc.Replicas[i].ID())
+			}
+		}
+		wantCells := max(cells, 1)
+		if lc.Cells() != wantCells {
+			t.Fatalf("cells=%d: Cells() = %d, want %d", cells, lc.Cells(), wantCells)
+		}
+		for c := 0; c < wantCells; c++ {
+			lc.CrashCell(c)
+			for id := 0; id < lc.N(); id++ {
+				_, err := lc.Transport().Call(ctx, quorum.ServerID(id), wire.ReadRequest{Key: "k"})
+				if crashed, want := err != nil, id/cfg.N == c; crashed != want {
+					t.Errorf("cells=%d: after CrashCell(%d) server %d crashed=%v, want %v", cells, c, id, crashed, want)
+				}
+			}
+			lc.RecoverCell(c)
+		}
 	}
 }

@@ -49,7 +49,7 @@ func run() error {
 	writer := flag.Uint("writer", 1, "writer id for puts")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-operation timeout")
 	stats := flag.Bool("stats", false, "print the client's AccessStats as JSON after the operation")
-	codecStr := flag.String("codec", "binary", "wire codec: binary, gob, or binary-flate (compressed WAN profile); must match the servers'")
+	codecStr := flag.String("codec", "binary", "wire codec: binary or binary-flate (compressed WAN profile); must match the servers'")
 	flag.Parse()
 
 	addrs, err := parseServers(*servers)
@@ -97,7 +97,7 @@ func run() error {
 		Transport: tc,
 		WriterID:  uint32(*writer),
 		Seed:      time.Now().UnixNano(),
-		Cells:     *cells,
+		Topology:  pqs.Topology{Cells: *cells},
 	})
 	if err != nil {
 		return err

@@ -52,7 +52,7 @@ func run() error {
 	fanout := flag.Int("fanout", 1, "gossip peers contacted per round")
 	interval := flag.Duration("gossip-interval", time.Second, "gossip round period")
 	seed := flag.Int64("diffusion-seed", 0, "seed for gossip peer selection (0 draws from crypto/rand)")
-	codecStr := flag.String("codec", "binary", "wire codec: binary, gob, or binary-flate (compressed WAN profile); must match clients and peers")
+	codecStr := flag.String("codec", "binary", "wire codec: binary or binary-flate (compressed WAN profile); must match clients and peers")
 	flag.Parse()
 
 	// Multi-cell layouts address replicas by global id: cell i of size n

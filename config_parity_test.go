@@ -1,34 +1,25 @@
 package pqs
 
-// The api_redesign guards: every config that drives the register client
+// The one-spelling guard: every config that drives the register client
 // shares ONE access-tuning block (config.Tuning) and ONE cluster-shape
-// block (config.Topology), and no config may ever grow a private copy of a
-// knob again. The reflection test freezes the deprecated flat aliases that
-// exist today; the compat tests pin that the old flat spelling and the new
-// embedded spelling produce bit-identical histories on both data planes.
+// block (config.Topology), and no config may grow a private copy of a knob.
 
 import (
-	"context"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"pqs/internal/chaos"
 	"pqs/internal/config"
-	"pqs/internal/core"
 	"pqs/internal/load"
-	"pqs/internal/register"
 	"pqs/internal/sim"
 )
 
-// knobNames is every field name of the two shared blocks, plus the one
-// historical alias that forwarded under a different name (sim's WriteW →
-// Tuning.W). A top-level field with one of these names on a client-driving
-// config is a knob copy.
+// knobNames is every field name of the two shared blocks. A top-level field
+// with one of these names on a client-driving config is a knob copy.
 func knobNames(t *testing.T) map[string]bool {
 	t.Helper()
-	names := map[string]bool{"WriteW": true}
+	names := map[string]bool{}
 	for _, blk := range []reflect.Type{
 		reflect.TypeOf(config.Tuning{}),
 		reflect.TypeOf(config.Topology{}),
@@ -41,34 +32,22 @@ func knobNames(t *testing.T) map[string]bool {
 }
 
 // TestConfigKnobParity is the no-drift gate: each client-driving config
-// embeds BOTH shared blocks (so every knob is reachable through the
-// canonical spelling), and its top-level flat knob copies are exactly the
-// frozen deprecated aliases below — no more, no fewer. Adding a private
-// tuning field to any config fails this test; extend config.Tuning
-// instead.
+// embeds BOTH shared blocks (so every knob is reachable through them), and
+// has no top-level field named like a knob beyond the listed exceptions.
+// Adding a private tuning field to any config fails this test; extend
+// config.Tuning instead.
 func TestConfigKnobParity(t *testing.T) {
 	knobs := knobNames(t)
 	cases := []struct {
 		typ reflect.Type
-		// frozen is the complete set of legacy flat aliases (plus, for
-		// ClientConfig, the Transport field that shares a knob's name but
-		// carries the data-plane object, not the string selector).
+		// frozen lists the top-level fields allowed to share a knob's name.
 		frozen []string
 	}{
 		{reflect.TypeOf(ClientConfig{}), []string{
-			"ReadRepair", "Spares", "HedgeDelay", "AdaptiveHedge",
-			"HedgeDeviations", "EagerRead", "W", "Cells", "CellVnodes",
 			"Transport", // transport.Transport object, not the plane selector
 		}},
-		{reflect.TypeOf(sim.ConsistencyConfig{}), []string{
-			"Spares", "HedgeDelay", "EagerRead", "AdaptiveHedge",
-			"HedgeDeviations", "WriteW", "Transport", "LatencyMin", "LatencyMax",
-		}},
-		{reflect.TypeOf(chaos.Config{}), []string{
-			"Spares", "HedgeDelay", "AdaptiveHedge", "EagerRead",
-			"Cells", "Transport", "LatencyMin", "LatencyMax",
-		}},
-		// load.Config was born after the redesign: zero flat aliases.
+		{reflect.TypeOf(sim.ConsistencyConfig{}), nil},
+		{reflect.TypeOf(chaos.Config{}), nil},
 		{reflect.TypeOf(load.Config{}), nil},
 	}
 	for _, tc := range cases {
@@ -88,7 +67,7 @@ func TestConfigKnobParity(t *testing.T) {
 				if knobs[f.Name] {
 					flat = append(flat, f.Name)
 					if !frozen[f.Name] {
-						t.Errorf("%s.%s is a NEW flat copy of a shared knob; set it on the embedded config.Tuning/Topology block instead",
+						t.Errorf("%s.%s is a flat copy of a shared knob; set it on the embedded config.Tuning/Topology block instead",
 							tc.typ, f.Name)
 					}
 				}
@@ -99,116 +78,42 @@ func TestConfigKnobParity(t *testing.T) {
 				}
 			}
 			if len(flat) != len(tc.frozen) {
-				t.Errorf("%s flat knob aliases = %v, frozen list = %v: removing a deprecated alias breaks the compat contract",
+				t.Errorf("%s knob-named fields = %v, frozen list = %v",
 					tc.typ, flat, tc.frozen)
 			}
 		})
 	}
 }
 
-// chaosCompatPair builds the same hedged chaos scenario twice: once
-// through the legacy flat fields, once through the embedded blocks.
-func chaosCompatPair(t *testing.T, transport string) (flat, embedded chaos.Config) {
-	t.Helper()
-	sys, err := core.NewEpsilonIntersectingEll(36, 2)
+// TestNewClientRejectsUnsupportedTopology: a client has no use for the
+// Topology fields that shape a cluster, so NewClient fails loudly on them
+// instead of silently dropping a misconfiguration. Cells and CellVnodes are
+// honored.
+func TestNewClientRejectsUnsupportedTopology(t *testing.T) {
+	sys, err := New(Config{N: 10, Q: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := chaos.Config{
-		Name: "compat/" + transport, System: sys, Mode: register.Benign,
-		Ops: 120, Seed: 11, Bound: sys.EpsilonBound(),
-		Virtual: true,
+	cluster, err := NewCluster(ClusterConfig{N: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	flat = base
-	flat.Spares = 2
-	flat.HedgeDelay = 2 * time.Millisecond
-	flat.EagerRead = true
-	flat.Transport = transport
-	flat.LatencyMin = 500 * time.Microsecond
-	flat.LatencyMax = 3 * time.Millisecond
-
-	embedded = base
-	embedded.Tuning = config.Tuning{
-		Spares: 2, HedgeDelay: 2 * time.Millisecond, EagerRead: true,
-	}
-	embedded.Topology = config.Topology{
-		Transport:  transport,
-		LatencyMin: 500 * time.Microsecond,
-		LatencyMax: 3 * time.Millisecond,
-	}
-	return flat, embedded
-}
-
-// TestConfigAliasBitCompat is the migration contract: the flat spelling
-// and the embedded spelling of one hedged scenario replay bit-identical
-// histories on BOTH data planes. Old callers can migrate field by field
-// with zero behavior change.
-func TestConfigAliasBitCompat(t *testing.T) {
-	for _, tr := range []string{sim.TransportMem, sim.TransportTCPVirtual} {
-		t.Run(tr, func(t *testing.T) {
-			flatCfg, embCfg := chaosCompatPair(t, tr)
-			a, err := chaos.Run(flatCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := chaos.Run(embCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := a.History.Diff(b.History); d != "" {
-				t.Errorf("flat vs embedded histories diverge on %s: %s", tr, d)
-			}
-			if a.Check.Epsilon != b.Check.Epsilon {
-				t.Errorf("flat ε=%v embedded ε=%v", a.Check.Epsilon, b.Check.Epsilon)
+	for _, tc := range []struct {
+		name    string
+		topo    Topology
+		wantErr bool
+	}{
+		{"N", Topology{N: 10}, true},
+		{"Transport", Topology{Transport: sim.TransportTCPVirtual}, true},
+		{"LatencyMin", Topology{LatencyMin: time.Millisecond}, true},
+		{"LatencyMax", Topology{LatencyMax: time.Millisecond}, true},
+		{"Cells", Topology{Cells: 1, CellVnodes: 8}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewClient(ClientConfig{System: sys, Transport: cluster.Transport(), Topology: tc.topo})
+			if (err != nil) != tc.wantErr {
+				t.Errorf("NewClient(Topology %+v) error = %v, want error %v", tc.topo, err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestClientConfigAliasCompat pins the public-API half: a NewClient built
-// from legacy flat fields and one built from the embedded Tuning block
-// behave identically against same-seed clusters.
-func TestClientConfigAliasCompat(t *testing.T) {
-	run := func(cfg ClientConfig) []string {
-		cluster, err := NewLocalCluster(25, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := New(Config{N: 25, Epsilon: 1e-2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.System = sys
-		cfg.Transport = cluster.Transport()
-		cfg.WriterID = 1
-		cfg.Seed = 9
-		client, err := NewClient(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.WaitDrained()
-		ctx := context.Background()
-		var trace []string
-		for i := 0; i < 40; i++ {
-			key := fmt.Sprintf("k%d", i%5)
-			if _, err := client.Write(ctx, key, []byte(fmt.Sprintf("v%d", i))); err != nil {
-				t.Fatalf("write %d: %v", i, err)
-			}
-			rr, err := client.Read(ctx, key)
-			if err != nil {
-				t.Fatalf("read %d: %v", i, err)
-			}
-			trace = append(trace, fmt.Sprintf("%s=%s@%v", key, rr.Value, rr.Stamp))
-		}
-		return trace
-	}
-	flat := run(ClientConfig{
-		Spares: 2, EagerRead: true, ReadRepair: true, W: 0,
-	})
-	embedded := run(ClientConfig{
-		Tuning: Tuning{Spares: 2, EagerRead: true, ReadRepair: true},
-	})
-	if !reflect.DeepEqual(flat, embedded) {
-		t.Errorf("legacy flat and embedded ClientConfig traces diverge:\nflat:     %v\nembedded: %v", flat, embedded)
 	}
 }

@@ -34,7 +34,7 @@ func ExampleNewClient() {
 	if err != nil {
 		panic(err)
 	}
-	cluster, err := pqs.NewLocalCluster(sys.N(), 1)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -85,7 +85,7 @@ func ExampleLockService() {
 	if err != nil {
 		panic(err)
 	}
-	cluster, err := pqs.NewLocalCluster(sys.N(), 1)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -41,7 +41,7 @@ func run() error {
 		stale := 0
 		for trial := 0; trial < trials; trial++ {
 			// Fresh cluster per trial so earlier gossip does not leak in.
-			cluster, err := pqs.NewLocalCluster(n, int64(rounds*trials+trial))
+			cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: n, Seed: int64(rounds*trials + trial)})
 			if err != nil {
 				return err
 			}

@@ -34,7 +34,7 @@ func run() error {
 	fmt.Printf("  exact epsilon   %.2e\n", sys.Epsilon())
 
 	// 2. Start 100 replicas in-process and a client.
-	cluster, err := pqs.NewLocalCluster(sys.N(), 1)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func run() error {
 	fmt.Printf("lock quorum size %d, read threshold k=%d, lock-miss probability eps=%.1e\n\n",
 		sys.QuorumSize(), sys.K(), sys.Epsilon())
 
-	cluster, err := pqs.NewLocalCluster(stations, 2026)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: stations, Seed: 2026})
 	if err != nil {
 		return err
 	}

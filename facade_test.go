@@ -14,7 +14,7 @@ func TestFacadeRetryingClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(12, 9)
+	cluster, err := NewCluster(ClusterConfig{N: 12, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestFacadeReadRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(20, 10)
+	cluster, err := NewCluster(ClusterConfig{N: 20, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	client, err := NewClient(ClientConfig{
 		System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 11,
-		ReadRepair: true,
+		Tuning: Tuning{ReadRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestFacadeReadRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := NewClient(ClientConfig{
-		System: msys, Transport: cluster.Transport(), WriterID: 1, ReadRepair: true,
+		System: msys, Transport: cluster.Transport(), WriterID: 1, Tuning: Tuning{ReadRepair: true},
 	}); err == nil {
 		t.Error("masking + read repair accepted by facade")
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"pqs/internal/config"
 	"pqs/internal/diffusion"
@@ -21,19 +20,35 @@ import (
 )
 
 // Config drives one chaos run.
-//
-// The access-tuning knobs live canonically on the embedded config.Tuning
-// block (which also brought HedgeDeviations, W and ReadRepair to chaos
-// runs — knobs the flat era never exposed here) and the shape knobs on
-// config.Topology; the flat fields of the same names below are deprecated
-// aliases that forward, with the embedded block winning when both are set.
-// See the README section "Configuring access tuning".
 type Config struct {
-	// Tuning is the canonical access-tuning block (register.Options knobs).
+	// Tuning enables the client's straggler-tolerant access path for the
+	// run (register.Options), putting hedge timers inside the chaos
+	// determinism contract.
 	config.Tuning
-	// Topology is the canonical shape block: Cells/CellVnodes, Transport
-	// and the latency model. Topology.N is ignored (the universe size
+	// Topology shapes the run; Topology.N is ignored (the universe size
 	// comes from System.N()).
+	//
+	// Cells, when > 1, runs the scenario against a multi-cell client: the
+	// cluster holds Cells*System.N() replicas (cell i owning servers
+	// [i*n, (i+1)*n)), every key routes to one cell by consistent hashing,
+	// and the checker enforces the ε bound per cell as well as globally
+	// (see CheckConfig.Cells). Schedule actions keep addressing global
+	// server ids, so scenarios can partition between cells or crash a
+	// whole cell.
+	//
+	// Transport selects the data plane: sim.TransportMem (default) drives
+	// client traffic through the MemNetwork with the chaos engine as its
+	// link hook; sim.TransportTCPVirtual drives it through the REAL TCP
+	// stack — framing, binary codec, group-commit flusher, worker pool —
+	// over virtual-time byte streams, with the schedule's faults
+	// reimplemented at the byte-stream layer (drops reset connections,
+	// corruption flips bits in framed chunks, blocks refuse dials and
+	// reset streams; duplication is a deliberate no-op — TCP sequence
+	// numbers preclude it). It implies Virtual.
+	//
+	// LatencyMin and LatencyMax, when LatencyMax > 0, give every call a
+	// uniform simulated latency drawn deterministically from the seed.
+	// Meaningful mainly with Virtual (wall runs would really sleep).
 	config.Topology
 
 	// Name labels the run in reports.
@@ -80,19 +95,8 @@ type Config struct {
 	// — instantly, and deterministically enough to join the byte-for-byte
 	// replay contract that previously had to exclude hedged runs.
 	Virtual bool
-	// Transport selects the data plane: sim.TransportMem (default) drives
-	// client traffic through the MemNetwork with the chaos engine as its
-	// link hook; sim.TransportTCPVirtual drives it through the REAL TCP
-	// stack — framing, binary codec, group-commit flusher, worker pool —
-	// over virtual-time byte streams, with the schedule's faults
-	// reimplemented at the byte-stream layer (drops reset connections,
-	// corruption flips bits in framed chunks, blocks refuse dials and
-	// reset streams; duplication is a deliberate no-op — TCP sequence
-	// numbers preclude it). Implies Virtual.
-	Transport string
 	// WireCodec selects the TCP serialization under tcp-virtual (zero value
-	// = CodecBinary, the production default; CodecGob exercises the legacy
-	// framing). Ignored on the mem plane.
+	// = CodecBinary, the production default). Ignored on the mem plane.
 	WireCodec transport.Codec
 	// Lifecycle configures connection pooling, redial backoff and the
 	// circuit breaker on the tcp-virtual client (zero value = legacy
@@ -101,31 +105,6 @@ type Config struct {
 	// quorum members at dispatch and spares promote at t=0. Ignored on the
 	// mem plane.
 	Lifecycle transport.LifecycleConfig
-	// LatencyMin and LatencyMax, when LatencyMax > 0, give every call a
-	// uniform simulated latency drawn deterministically from the seed.
-	// Meaningful mainly with Virtual (wall runs would really sleep).
-	LatencyMin, LatencyMax time.Duration
-	// Spares, HedgeDelay, AdaptiveHedge and EagerRead enable the client's
-	// straggler-tolerant access path for the run (register.Options),
-	// putting hedge timers inside the chaos determinism contract.
-	//
-	// Deprecated: set the embedded Tuning block; these flat aliases
-	// forward (as do the flat Transport/LatencyMin/LatencyMax/Cells, for
-	// the Topology block).
-	Spares        int
-	HedgeDelay    time.Duration
-	AdaptiveHedge bool
-	EagerRead     bool
-
-	// Cells, when > 1, runs the scenario against a multi-cell client: the
-	// cluster holds Cells*System.N() replicas (cell i owning servers
-	// [i*n, (i+1)*n)), every key routes to one cell by consistent hashing,
-	// and the checker enforces the ε bound per cell as well as globally
-	// (see CheckConfig.Cells). Schedule actions keep addressing global
-	// server ids, so scenarios can partition between cells or crash a
-	// whole cell.
-	Cells int
-
 	// GossipEvery, when positive, runs one synchronized diffusion round
 	// (anti-entropy push-pull over the current membership) after every
 	// GossipEvery-th write/read pair — lazy propagation running
@@ -191,7 +170,6 @@ type Report struct {
 // harness failures, never on consistency violations. With cfg.Virtual the
 // whole scenario executes inside a vtime.SimClock scheduler.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.resolved()
 	if cfg.Transport == sim.TransportTCPVirtual {
 		// The byte-stream data plane schedules every chunk on the clock;
 		// running it against the wall clock would really wait out the
@@ -212,31 +190,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.SimSeconds = sc.Elapsed().Seconds()
 	}
 	return rep, err
-}
-
-// resolved returns cfg with the canonical Tuning/Topology blocks resolved
-// against the deprecated flat aliases, and the flat fields rewritten to
-// the resolved values so the run body (and anything reading the config
-// back) sees one consistent spelling. A config written entirely in either
-// spelling resolves to the same values — the bit-for-bit compat contract.
-func (cfg Config) resolved() Config {
-	tun := cfg.Tuning.Or(config.Tuning{
-		Spares:        cfg.Spares,
-		HedgeDelay:    cfg.HedgeDelay,
-		AdaptiveHedge: cfg.AdaptiveHedge,
-		EagerRead:     cfg.EagerRead,
-	})
-	topo := cfg.Topology.Or(config.Topology{
-		Cells:      cfg.Cells,
-		Transport:  cfg.Transport,
-		LatencyMin: cfg.LatencyMin,
-		LatencyMax: cfg.LatencyMax,
-	})
-	cfg.Tuning, cfg.Topology = tun, topo
-	cfg.Spares, cfg.HedgeDelay, cfg.AdaptiveHedge, cfg.EagerRead = tun.Spares, tun.HedgeDelay, tun.AdaptiveHedge, tun.EagerRead
-	cfg.Cells, cfg.Transport = topo.Cells, topo.Transport
-	cfg.LatencyMin, cfg.LatencyMax = topo.LatencyMin, topo.LatencyMax
-	return cfg
 }
 
 // run is the scenario body, on clk (nil = wall).
@@ -310,12 +263,12 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		Spares:          cfg.Spares,
 		HedgeDelay:      cfg.HedgeDelay,
 		AdaptiveHedge:   cfg.AdaptiveHedge,
-		HedgeDeviations: cfg.Tuning.HedgeDeviations,
+		HedgeDeviations: cfg.HedgeDeviations,
 		EagerRead:       cfg.EagerRead,
-		W:               cfg.Tuning.W,
-		ReadRepair:      cfg.Tuning.ReadRepair,
+		W:               cfg.W,
+		ReadRepair:      cfg.ReadRepair,
 		Cells:           cfg.Cells,
-		RingVnodes:      cfg.Topology.CellVnodes,
+		RingVnodes:      cfg.CellVnodes,
 	}
 	if clk != nil {
 		opts.Time = clk

@@ -13,6 +13,7 @@ package chaos
 import (
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/core"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
@@ -234,9 +235,9 @@ func Scenarios() []Scenario {
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
 					// Nonzero latency makes virtual time advance, so breaker
 					// cooldowns genuinely elapse and half-open trials run.
-					Virtual:    true,
-					LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond,
-					Spares: 2, HedgeDelay: 2 * time.Millisecond, EagerRead: true,
+					Virtual:  true,
+					Tuning:   config.Tuning{Spares: 2, HedgeDelay: 2 * time.Millisecond, EagerRead: true},
+					Topology: config.Topology{LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond},
 					Lifecycle: transport.LifecycleConfig{
 						PoolSize:         2,
 						DialBackoffBase:  time.Millisecond,
@@ -250,24 +251,6 @@ func Scenarios() []Scenario {
 						At(3*ops/6, Crash(group...)),
 						At(4*ops/6, Recover(group...)),
 						At(5*ops/6, Crash(group...)),
-					},
-				}, nil
-			},
-		},
-		{
-			Name: "benign/gob-wire",
-			Doc:  "the legacy encoding/gob codec carries the whole run under 1% chunk loss and delivery jitter; end-to-end behavior must match the binary codec's (the codec is framing, not semantics)",
-			Build: func(scale int, seed int64) (Config, error) {
-				sys, err := core.NewEpsilonIntersectingEll(baseN, 2.5)
-				if err != nil {
-					return Config{}, err
-				}
-				return Config{
-					Name: "benign/gob-wire", System: sys, Mode: register.Benign,
-					Ops: 100 * scale, Seed: seed, Bound: sys.EpsilonBound(),
-					WireCodec: transport.CodecGob,
-					Schedule: Schedule{
-						At(0, Drop(0.01), Reorder(200*time.Microsecond)),
 					},
 				}, nil
 			},
@@ -288,8 +271,8 @@ func Scenarios() []Scenario {
 					// scenario runs virtual; on mem the ByteRate actions are
 					// documented no-ops and the run degrades to a latency
 					// scenario (the determinism contract still holds).
-					Virtual:    true,
-					LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond,
+					Virtual:     true,
+					Topology:    config.Topology{LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond},
 					WireCodec:   transport.CodecBinaryFlate,
 					GossipEvery: 5, GossipFanout: 2,
 					Schedule: Schedule{
@@ -312,8 +295,8 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "wan/asym-bandwidth", System: sys, Mode: register.Benign,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
-					Virtual:    true,
-					LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond,
+					Virtual:     true,
+					Topology:    config.Topology{LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond},
 					WireCodec:   transport.CodecBinaryFlate,
 					GossipEvery: 5, GossipFanout: 2,
 					Schedule: Schedule{
@@ -336,7 +319,7 @@ func Scenarios() []Scenario {
 				ops := 150 * scale
 				return Config{
 					Name: "cells/inter-cell-partition", System: sys, Mode: register.Benign,
-					Cells: 4, Keys: 16,
+					Topology: config.Topology{Cells: 4}, Keys: 16,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
 					Schedule: Schedule{
 						At(0, Drop(0.02)),
@@ -358,7 +341,7 @@ func Scenarios() []Scenario {
 				ops := 150 * scale
 				return Config{
 					Name: "cells/cell-crash", System: sys, Mode: register.Benign,
-					Cells: 4, Keys: 16,
+					Topology: config.Topology{Cells: 4}, Keys: 16,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
 					Schedule: Schedule{
 						// Cell 1 owns global servers [25, 50).
@@ -382,7 +365,7 @@ func Scenarios() []Scenario {
 				}
 				return Config{
 					Name: "cells/dissem-forgers", System: sys, Mode: register.Dissemination,
-					Cells: 4, Keys: 16,
+					Topology: config.Topology{Cells: 4}, Keys: 16,
 					Ops: 120 * scale, Seed: seed, Bound: sys.EpsilonBound(),
 					Schedule: Schedule{
 						At(0, Collude("forged:cells", forgers...)),
@@ -476,10 +459,9 @@ func Scenarios() []Scenario {
 					// latency, hedge timers and the diffusion cadence are
 					// deterministic and instant to execute — the hedged
 					// configuration PR 3 could not cover.
-					Virtual:    true,
-					LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond,
-					Spares: 2, HedgeDelay: 2 * time.Millisecond,
-					AdaptiveHedge: true, EagerRead: true,
+					Virtual:     true,
+					Tuning:      config.Tuning{Spares: 2, HedgeDelay: 2 * time.Millisecond, AdaptiveHedge: true, EagerRead: true},
+					Topology:    config.Topology{LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond},
 					GossipEvery: 3, GossipFanout: 2,
 					Schedule: Schedule{
 						At(ops/5, BlockInbound(group...)),

@@ -8,14 +8,9 @@
 //   - Topology: the cluster-shape knobs (cells, universe size, data plane,
 //     latency model).
 //
-// Before this package each config struct carried its own flat copy of these
-// fields, and the copies drifted (sim lacked ReadRepair, chaos lacked
-// HedgeDeviations/W). Now every config embeds Tuning and Topology; the old
-// flat fields survive as deprecated aliases that forward, resolved by Or:
-// an embedded (canonical) field wins when set, the legacy flat field fills
-// zero-valued gaps, and boolean knobs combine by OR. A reflection test at
-// the repo root pins the rule that no config struct ever grows a private
-// copy of a tuning knob again.
+// Every config embeds Tuning and Topology, and these blocks are the only
+// place the knobs are spelled. A reflection test at the repo root pins the
+// rule that no config struct ever grows a private copy of a tuning knob.
 //
 // The package is deliberately leaf-level (it imports only vtime), so the
 // public API, the harnesses and the load generator can all share it without
@@ -56,30 +51,6 @@ type Tuning struct {
 	ReadRepair bool
 }
 
-// Or resolves t against a legacy flat-field block: every zero-valued knob of
-// t is filled from legacy, and booleans combine by OR (a knob enabled
-// through either spelling stays enabled). Configs that embed Tuning call
-// this with their deprecated flat fields so old code keeps its exact
-// behavior while new code sets the embedded block only.
-func (t Tuning) Or(legacy Tuning) Tuning {
-	if t.Spares == 0 {
-		t.Spares = legacy.Spares
-	}
-	if t.HedgeDelay == 0 {
-		t.HedgeDelay = legacy.HedgeDelay
-	}
-	t.AdaptiveHedge = t.AdaptiveHedge || legacy.AdaptiveHedge
-	if t.HedgeDeviations == 0 {
-		t.HedgeDeviations = legacy.HedgeDeviations
-	}
-	t.EagerRead = t.EagerRead || legacy.EagerRead
-	if t.W == 0 {
-		t.W = legacy.W
-	}
-	t.ReadRepair = t.ReadRepair || legacy.ReadRepair
-	return t
-}
-
 // Topology is the cluster-shape block shared by every harness config: how
 // many quorum cells, how many replicas, which data plane, and the simulated
 // latency model. Zero values mean "single cell, size from the quorum
@@ -103,35 +74,8 @@ type Topology struct {
 	LatencyMin, LatencyMax time.Duration
 }
 
-// Or resolves t against a legacy flat-field block, exactly as Tuning.Or:
-// zero-valued fields fill from legacy.
-func (t Topology) Or(legacy Topology) Topology {
-	if t.Cells == 0 {
-		t.Cells = legacy.Cells
-	}
-	if t.CellVnodes == 0 {
-		t.CellVnodes = legacy.CellVnodes
-	}
-	if t.N == 0 {
-		t.N = legacy.N
-	}
-	if t.Transport == "" {
-		t.Transport = legacy.Transport
-	}
-	if t.LatencyMin == 0 {
-		t.LatencyMin = legacy.LatencyMin
-	}
-	if t.LatencyMax == 0 {
-		t.LatencyMax = legacy.LatencyMax
-	}
-	return t
-}
-
-// Cluster describes a replica-cluster layout: the one options struct behind
-// the five historical cluster constructors (pqs.NewLocalCluster,
-// pqs.NewLocalClusterCells, sim.NewCluster, sim.NewClusterClock,
-// sim.NewClusterCellsClock), which survive as thin wrappers. pqs.NewCluster
-// and sim.NewClusterCfg both take it; they differ only in return type.
+// Cluster describes a replica-cluster layout. pqs.NewCluster and
+// sim.NewClusterCfg both take it; they differ only in return type.
 type Cluster struct {
 	// Cells is the quorum-cell count (0 or 1 = single cell).
 	Cells int

@@ -1,60 +1,6 @@
 package config
 
-import (
-	"testing"
-	"time"
-)
-
-func TestTuningOr(t *testing.T) {
-	legacy := Tuning{
-		Spares:          2,
-		HedgeDelay:      3 * time.Millisecond,
-		AdaptiveHedge:   true,
-		HedgeDeviations: 4,
-		EagerRead:       true,
-		W:               5,
-		ReadRepair:      true,
-	}
-	// Zero canonical block: legacy wins everywhere.
-	if got := (Tuning{}).Or(legacy); got != legacy {
-		t.Fatalf("zero.Or(legacy) = %+v, want %+v", got, legacy)
-	}
-	// Canonical non-zero fields win; zero fields fall back.
-	canon := Tuning{Spares: 7, W: 9}
-	got := canon.Or(legacy)
-	want := legacy
-	want.Spares = 7
-	want.W = 9
-	if got != want {
-		t.Fatalf("canon.Or(legacy) = %+v, want %+v", got, want)
-	}
-	// Booleans OR: enabled canonically stays enabled over a false legacy.
-	if got := (Tuning{EagerRead: true}).Or(Tuning{}); !got.EagerRead {
-		t.Fatal("EagerRead lost in Or")
-	}
-}
-
-func TestTopologyOr(t *testing.T) {
-	legacy := Topology{
-		Cells:      4,
-		CellVnodes: 16,
-		N:          100,
-		Transport:  "tcp-virtual",
-		LatencyMin: time.Millisecond,
-		LatencyMax: 4 * time.Millisecond,
-	}
-	if got := (Topology{}).Or(legacy); got != legacy {
-		t.Fatalf("zero.Or(legacy) = %+v, want %+v", got, legacy)
-	}
-	canon := Topology{Transport: "mem", N: 1000}
-	got := canon.Or(legacy)
-	want := legacy
-	want.Transport = "mem"
-	want.N = 1000
-	if got != want {
-		t.Fatalf("canon.Or(legacy) = %+v, want %+v", got, want)
-	}
-}
+import "testing"
 
 func TestClusterTotal(t *testing.T) {
 	if got := (Cluster{N: 25}).Total(); got != 25 {

@@ -77,8 +77,7 @@ const MemberViewKey = "\x00pqs/member-view"
 
 // Config drives one population-scale load run. The access-tuning knobs
 // live on the embedded config.Tuning block and the shape knobs on
-// config.Topology — load is the first harness born after the Tuning/
-// Topology unification, so it has no deprecated flat aliases at all.
+// config.Topology.
 type Config struct {
 	// Tuning is the access-tuning block. It is honored in full by the
 	// latency phase; the counting phase strips the latency-tolerance knobs
@@ -212,7 +211,8 @@ type Result struct {
 	P99Ms      float64 `json:"p99_ms,omitempty"`
 	P999Ms     float64 `json:"p999_ms,omitempty"`
 
-	// SimSeconds is the virtual time the whole run covered; Digest is the
+	// SimSeconds is the virtual time the run covered, up to the end of the
+	// latency phase (data-plane teardown excluded); Digest is the
 	// FNV-64a digest of every client's operation stream in client order —
 	// two runs of one Config must produce identical Results, Digest
 	// included.
@@ -257,9 +257,6 @@ func Run(cfg Config) (*Result, error) {
 	sc.Run(func() {
 		res, err = run(cfg, sc)
 	})
-	if res != nil {
-		res.SimSeconds = sc.Elapsed().Seconds()
-	}
 	return res, err
 }
 
@@ -382,6 +379,11 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	}
 
 	e.verdict(res)
+	// Read the clock before the deferred data-plane teardown: closing the
+	// virtual TCP plane wakes its pool workers weakly (vtime.NoteWeakSend),
+	// so how many FIN timers fire before the last worker exits is up to
+	// the Go scheduler.
+	res.SimSeconds = sc.Elapsed().Seconds()
 	return res, nil
 }
 

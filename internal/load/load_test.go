@@ -186,26 +186,30 @@ func TestLoadReadHeavy(t *testing.T) {
 	}
 }
 
-// TestLoadTCPVirtual pins the scale harness to the real wire path at
-// reduced scale, including its determinism.
-func TestLoadTCPVirtual(t *testing.T) {
+// tcpSmokeConfig is a reduced-scale load run on the virtual TCP plane.
+func tcpSmokeConfig(t *testing.T) Config {
+	t.Helper()
 	sys, err := core.NewEpsilonIntersectingEll(64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() Config {
-		return Config{
-			Name: "smoke/tcp", System: sys,
-			Clients: 1, Arrivals: 120,
-			Seed: 2, Bound: sys.EpsilonBound(),
-			Topology: config.Topology{
-				Transport:  sim.TransportTCPVirtual,
-				LatencyMin: 200 * time.Microsecond,
-				LatencyMax: 800 * time.Microsecond,
-			},
-			LatencyOps: 200,
-		}
+	return Config{
+		Name: "smoke/tcp", System: sys,
+		Clients: 1, Arrivals: 120,
+		Seed: 2, Bound: sys.EpsilonBound(),
+		Topology: config.Topology{
+			Transport:  sim.TransportTCPVirtual,
+			LatencyMin: 200 * time.Microsecond,
+			LatencyMax: 800 * time.Microsecond,
+		},
+		LatencyOps: 200,
 	}
+}
+
+// TestLoadTCPVirtual pins the scale harness to the real wire path at
+// reduced scale, including its determinism.
+func TestLoadTCPVirtual(t *testing.T) {
+	build := func() Config { return tcpSmokeConfig(t) }
 	a, err := Run(build())
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +229,27 @@ func TestLoadTCPVirtual(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("tcp runs diverge: %s vs %s", a.Digest, b.Digest)
+	}
+}
+
+// TestLoadTCPVirtualReplay replays the tcp-virtual smoke many times: the
+// whole Result, SimSeconds included, must match every time. Teardown of
+// the virtual TCP plane interleaves with timers nondeterministically, so
+// this catches any of it leaking into the reported result.
+func TestLoadTCPVirtualReplay(t *testing.T) {
+	first, err := Run(tcpSmokeConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 8; i++ {
+		r, err := Run(tcpSmokeConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, r) {
+			t.Fatalf("replay %d diverged: sim %.9fs digest %s vs sim %.9fs digest %s",
+				i, r.SimSeconds, r.Digest, first.SimSeconds, first.Digest)
+		}
 	}
 }
 

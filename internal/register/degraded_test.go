@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
 	"pqs/internal/sim"
@@ -42,7 +43,7 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 		sc := vtime.NewSimClock()
 		var durs []time.Duration
 		sc.Run(func() {
-			cluster := sim.NewClusterClock(n, 7, sc)
+			cluster := sim.NewClusterCfg(config.Cluster{N: n, Seed: 7, Clock: sc})
 			tc, err := sim.NewTCPClusterOpts(cluster, sc, 7, sim.TCPClusterOptions{
 				CallTimeout: 50 * time.Millisecond,
 				Lifecycle:   lc,

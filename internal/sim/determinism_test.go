@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/core"
 	"pqs/internal/register"
 )
@@ -33,9 +34,9 @@ func TestMeasureConsistencyDeterministic(t *testing.T) {
 	}{
 		{"benign", ConsistencyConfig{System: sys, Mode: register.Benign, Trials: 150, Seed: 11}},
 		{"benign-lossy", ConsistencyConfig{System: sys, Mode: register.Benign, Trials: 150, Seed: 12, DropProb: 0.08}},
-		{"benign-lossy-spares", ConsistencyConfig{System: sys, Mode: register.Benign, Trials: 150, Seed: 13, DropProb: 0.08, Spares: 3}},
+		{"benign-lossy-spares", ConsistencyConfig{System: sys, Mode: register.Benign, Trials: 150, Seed: 13, DropProb: 0.08, Tuning: config.Tuning{Spares: 3}}},
 		{"masking-byz", ConsistencyConfig{System: mask, Mode: register.Masking, K: mask.K(), B: mask.B(), Trials: 120, Seed: 14}},
-		{"dissem-byz-eager", ConsistencyConfig{System: sys, Mode: register.Dissemination, B: 4, Trials: 120, Seed: 15, EagerRead: true}},
+		{"dissem-byz-eager", ConsistencyConfig{System: sys, Mode: register.Dissemination, B: 4, Trials: 120, Seed: 15, Tuning: config.Tuning{EagerRead: true}}},
 
 		// Hedged configurations under a SimClock — the cases PR 3 had to
 		// exclude from this suite because hedge timers read the wall
@@ -44,21 +45,24 @@ func TestMeasureConsistencyDeterministic(t *testing.T) {
 		// be bit-identical.
 		{"virtual-hedged", ConsistencyConfig{
 			System: sys, Mode: register.Benign, Trials: 120, Seed: 16,
-			Virtual: true, LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+			Virtual:    true,
+			Tuning:     config.Tuning{Spares: 2, HedgeDelay: 5 * time.Millisecond, EagerRead: true},
+			Topology:   config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 			StragglerN: 3, StragglerLatency: 25 * time.Millisecond,
-			Spares: 2, HedgeDelay: 5 * time.Millisecond, EagerRead: true,
 		}},
 		{"virtual-adaptive-hedged-lossy", ConsistencyConfig{
 			System: sys, Mode: register.Benign, Trials: 120, Seed: 17,
-			Virtual: true, LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+			Virtual:    true,
+			Tuning:     config.Tuning{Spares: 3, HedgeDelay: 5 * time.Millisecond, AdaptiveHedge: true, EagerRead: true},
+			Topology:   config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 			StragglerN: 3, StragglerLatency: 25 * time.Millisecond, DropProb: 0.05,
-			Spares: 3, HedgeDelay: 5 * time.Millisecond, AdaptiveHedge: true, EagerRead: true,
 		}},
 		{"virtual-masking-byz-hedged", ConsistencyConfig{
 			System: mask, Mode: register.Masking, K: mask.K(), B: mask.B(), Trials: 100, Seed: 18,
-			Virtual: true, LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+			Virtual:    true,
+			Tuning:     config.Tuning{Spares: 2, HedgeDelay: 4 * time.Millisecond, AdaptiveHedge: true, EagerRead: true},
+			Topology:   config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 			StragglerN: 2, StragglerLatency: 20 * time.Millisecond,
-			Spares: 2, HedgeDelay: 4 * time.Millisecond, AdaptiveHedge: true, EagerRead: true,
 		}},
 
 		// The REAL data plane: calls framed by the binary codec, coalesced
@@ -68,20 +72,20 @@ func TestMeasureConsistencyDeterministic(t *testing.T) {
 		// per-call draws do.
 		{"tcp-virtual", ConsistencyConfig{
 			System: sys, Mode: register.Benign, Trials: 100, Seed: 19,
-			Virtual: true, Transport: TransportTCPVirtual,
-			LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+			Virtual:  true,
+			Topology: config.Topology{Transport: TransportTCPVirtual, LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 		}},
 		{"tcp-virtual-lossy-hedged", ConsistencyConfig{
 			System: sys, Mode: register.Benign, Trials: 100, Seed: 20,
-			Virtual: true, Transport: TransportTCPVirtual,
-			LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+			Virtual:    true,
+			Tuning:     config.Tuning{Spares: 3, HedgeDelay: 8 * time.Millisecond, AdaptiveHedge: true, EagerRead: true},
+			Topology:   config.Topology{Transport: TransportTCPVirtual, LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 			StragglerN: 3, StragglerLatency: 25 * time.Millisecond, DropProb: 0.01,
-			Spares: 3, HedgeDelay: 8 * time.Millisecond, AdaptiveHedge: true, EagerRead: true,
 		}},
 		{"tcp-virtual-masking-byz", ConsistencyConfig{
 			System: mask, Mode: register.Masking, K: mask.K(), B: mask.B(), Trials: 80, Seed: 21,
-			Virtual: true, Transport: TransportTCPVirtual,
-			LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+			Virtual:  true,
+			Topology: config.Topology{Transport: TransportTCPVirtual, LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 		}},
 	}
 	for _, tc := range cases {
@@ -138,7 +142,7 @@ func TestMeasureConsistencyHedgedStillSafe(t *testing.T) {
 	}
 	res, err := MeasureConsistency(ConsistencyConfig{
 		System: sys, Mode: register.Benign, Trials: 60, Seed: 21,
-		Spares: 2, HedgeDelay: 200 * time.Microsecond, DropProb: 0.05,
+		Tuning: config.Tuning{Spares: 2, HedgeDelay: 200 * time.Microsecond}, DropProb: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)

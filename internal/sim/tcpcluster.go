@@ -18,8 +18,8 @@ import (
 	"pqs/internal/vtime"
 )
 
-// Transport selector values for ConsistencyConfig.Transport (and
-// chaos.Config.Transport, which aliases them).
+// Transport selector values for config.Topology.Transport, as embedded in
+// ConsistencyConfig and chaos.Config.
 const (
 	// TransportMem runs client calls directly on the in-process MemNetwork
 	// (the default, and the only option before the virtual TCP data plane).

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -28,10 +27,6 @@ const (
 	// CodecBinary is the hand-rolled length-prefixed binary codec of
 	// internal/wire (codec.go): the data-plane fast path. Default.
 	CodecBinary Codec = iota
-	// CodecGob is the encoding/gob framing the transport originally used,
-	// kept for wire-compat tests and as a safety hatch: it can carry payload
-	// types the closed binary codec rejects.
-	CodecGob
 	// CodecBinaryFlate is the binary codec with DEFLATE-compressed payload
 	// slots (wire.TagCompressed): the WAN profile. Frames below the
 	// compression threshold — or that deflate cannot shrink — go out in
@@ -47,8 +42,6 @@ func (c Codec) String() string {
 	switch c {
 	case CodecBinary:
 		return "binary"
-	case CodecGob:
-		return "gob"
 	case CodecBinaryFlate:
 		return "binary-flate"
 	default:
@@ -62,12 +55,10 @@ func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "binary":
 		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
 	case "binary-flate":
 		return CodecBinaryFlate, nil
 	default:
-		return 0, fmt.Errorf("transport: unknown codec %q (want binary, gob or binary-flate)", s)
+		return 0, fmt.Errorf("transport: unknown codec %q (want binary or binary-flate)", s)
 	}
 }
 
@@ -90,13 +81,12 @@ const (
 var errCallTimeout = &vnetError{msg: "transport: call timed out", timeout: true}
 
 // ConnCodecStats counts one connection's traffic through the message codec:
-// envelope bodies encoded and decoded, and their byte volume. Gob
-// connections count messages only (gob's framing is opaque, so byte counts
-// stay zero). These counters are kept per connection — each connection's
-// goroutines increment their own uncontended cache line — and aggregated
-// into TCPStats on snapshot, replacing the process-wide counters the wire
-// package used to maintain on the hot path (one shared cache line hammered
-// by every connection in the process).
+// envelope bodies encoded and decoded, and their byte volume. These
+// counters are kept per connection — each connection's goroutines increment
+// their own uncontended cache line — and aggregated into TCPStats on
+// snapshot, replacing the process-wide counters the wire package used to
+// maintain on the hot path (one shared cache line hammered by every
+// connection in the process).
 type ConnCodecStats struct {
 	MessagesEncoded uint64 `json:"messages_encoded"`
 	MessagesDecoded uint64 `json:"messages_decoded"`
@@ -216,8 +206,7 @@ type TCPStats struct {
 	FramesRead    uint64
 	FramesWritten uint64
 	// BytesRead and BytesWritten count frame bytes, including length
-	// prefixes, as handed to the buffered reader/writer (gob connections
-	// count only frames, not bytes).
+	// prefixes, as handed to the buffered reader/writer.
 	BytesRead    uint64
 	BytesWritten uint64
 	// Flushes counts syscall-bound writer flushes, including the inline
@@ -227,8 +216,6 @@ type TCPStats struct {
 	// connections carrying frames smaller than the write buffer,
 	// Flushes + WritesCoalesced == FramesWritten and
 	// WritesCoalesced/FramesWritten is the syscall savings of coalescing.
-	// Gob connections count only explicit flushes (gob's own buffering is
-	// opaque).
 	Flushes         uint64
 	WritesCoalesced uint64
 	// Connection-lifecycle counters, all zero unless the client was built
@@ -361,13 +348,9 @@ type frameWriter struct {
 	kick    chan struct{} // capacity 1: wakes the flusher
 	done    chan struct{} // closed by close(); stops the flusher
 	stopped chan struct{} // closed by flushLoop on exit; close() waits on it
-
-	// enc is non-nil on gob connections; writeGob uses it under mu with the
-	// same coalescing rule.
-	enc *gob.Encoder
 }
 
-func newFrameWriter(conn net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched) *frameWriter {
+func newFrameWriter(conn net.Conn, stats *tcpCounters, sched vtime.Sched) *frameWriter {
 	w := &frameWriter{
 		bw:      bufio.NewWriterSize(conn, writeBufSize),
 		stats:   stats,
@@ -375,9 +358,6 @@ func newFrameWriter(conn net.Conn, codec Codec, stats *tcpCounters, sched vtime.
 		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
-	}
-	if codec == CodecGob {
-		w.enc = gob.NewEncoder(w.bw)
 	}
 	sched.Go(w.flushLoop)
 	return w
@@ -497,24 +477,6 @@ func (w *frameWriter) writeFrame(body []byte) error {
 	return nil
 }
 
-// writeGob gob-encodes v (a *wire.Envelope or *wire.ReplyEnvelope) with the
-// same coalescing as writeFrame.
-func (w *frameWriter) writeGob(v any) error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if err := w.enc.Encode(v); err != nil {
-		w.err = err
-		w.mu.Unlock()
-		return err
-	}
-	w.appendDone()
-	return nil
-}
-
 // TCPOptions configures a TCPServer beyond its codec.
 type TCPOptions struct {
 	// Codec selects the wire serialization (CodecBinary default).
@@ -576,7 +538,6 @@ func ListenTCPCodec(addr string, h Handler, codec Codec) (*TCPServer, error) {
 // the unmodified data plane (framing, codec, flusher, worker pool) run on
 // virtual-time byte streams inside the harnesses.
 func ServeListener(l net.Listener, h Handler, o TCPOptions) *TCPServer {
-	wire.RegisterGob()
 	clk := vtime.Or(o.Clock)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &TCPServer{
@@ -659,7 +620,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// the connection tears down or the server closes, so in-flight handlers
 	// cannot outlive either.
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	w := newFrameWriter(conn, s.codec, &s.stats, s.sched)
+	w := newFrameWriter(conn, &s.stats, s.sched)
 	cc := s.codecReg.open()
 	defer s.codecReg.close(cc)
 	// Teardown order (LIFO): cancel the connection context FIRST — its
@@ -698,11 +659,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 		// A write error means the connection is going away; the read loop
 		// will observe it and exit.
-		if s.codec == CodecGob {
-			cc.countEncode(0)
-			_ = w.writeGob(&reply)
-			return
-		}
 		bp := wire.GetBuffer()
 		var frame []byte
 		var encErr error
@@ -780,18 +736,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 	}
 
-	if s.codec == CodecGob {
-		dec := gob.NewDecoder(bufio.NewReaderSize(conn, readBufSize))
-		for {
-			var env wire.Envelope
-			if err := dec.Decode(&env); err != nil {
-				return
-			}
-			s.stats.framesRead.Add(1)
-			cc.countDecode(0)
-			dispatch(env)
-		}
-	}
 	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		body, release, err := readFrame(br, &s.stats)
@@ -881,7 +825,6 @@ func NewTCPClientCodec(addrs map[quorum.ServerID]string, codec Codec) *TCPClient
 // NewTCPClientOpts is NewTCPClient with full options (codec, clock, dialer
 // injection, call timeout).
 func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCPClient {
-	wire.RegisterGob()
 	cp := make(map[quorum.ServerID]string, len(addrs))
 	for id, a := range addrs {
 		cp[id] = a
@@ -1122,7 +1065,7 @@ func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched
 	c := &tcpConn{
 		raw:       raw,
 		codec:     codec,
-		w:         newFrameWriter(raw, codec, stats, sched),
+		w:         newFrameWriter(raw, stats, sched),
 		stats:     stats,
 		sched:     sched,
 		cc:        cc,
@@ -1144,29 +1087,24 @@ func (c *tcpConn) send(id uint64, req any) (chan wire.ReplyEnvelope, error) {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
+	bp := wire.GetBuffer()
+	var frame []byte
 	var err error
-	if c.codec == CodecGob {
-		c.cc.countEncode(0)
-		err = c.w.writeGob(&wire.Envelope{ID: id, Payload: req})
-	} else {
-		bp := wire.GetBuffer()
-		var frame []byte
-		if c.codec == CodecBinaryFlate {
-			var res wire.FlateResult
-			frame, res, err = wire.AppendEnvelopeFlate(*bp, wire.Envelope{ID: id, Payload: req})
-			if err == nil {
-				c.cc.countFlate(res)
-			}
-		} else {
-			frame, err = wire.AppendEnvelope(*bp, wire.Envelope{ID: id, Payload: req})
-		}
+	if c.codec == CodecBinaryFlate {
+		var res wire.FlateResult
+		frame, res, err = wire.AppendEnvelopeFlate(*bp, wire.Envelope{ID: id, Payload: req})
 		if err == nil {
-			c.cc.countEncode(len(frame))
-			err = c.w.writeFrame(frame)
-			*bp = frame[:0]
+			c.cc.countFlate(res)
 		}
-		wire.PutBuffer(bp)
+	} else {
+		frame, err = wire.AppendEnvelope(*bp, wire.Envelope{ID: id, Payload: req})
 	}
+	if err == nil {
+		c.cc.countEncode(len(frame))
+		err = c.w.writeFrame(frame)
+		*bp = frame[:0]
+	}
+	wire.PutBuffer(bp)
 	if err != nil {
 		c.forget(id)
 		return nil, fmt.Errorf("transport: send: %w", err)
@@ -1200,21 +1138,6 @@ func (c *tcpConn) abandon(id uint64) bool {
 }
 
 func (c *tcpConn) readLoop() {
-	if c.codec == CodecGob {
-		dec := gob.NewDecoder(bufio.NewReaderSize(c.raw, readBufSize))
-		for {
-			var reply wire.ReplyEnvelope
-			if err := dec.Decode(&reply); err != nil {
-				c.failAll()
-				return
-			}
-			c.stats.framesRead.Add(1)
-			c.cc.countDecode(0)
-			if !c.deliver(reply) {
-				return
-			}
-		}
-	}
 	br := bufio.NewReaderSize(c.raw, readBufSize)
 	for {
 		body, release, err := readFrame(br, c.stats)

@@ -180,7 +180,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	if resp.(wire.PingReply).ServerID != 5 {
 		t.Errorf("reply %+v", resp)
 	}
-	// Round-trip a full write/read pair to exercise gob registration.
+	// Round-trip a full write request through the echo handler.
 	wreq := wire.WriteRequest{Key: "k", Value: []byte("v")}
 	if resp, err = client.Call(context.Background(), 5, wreq); err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestTCPContextCancellation(t *testing.T) {
 // TestTCPBothCodecsRoundTrip runs the full request/reply exchange under each
 // codec, including an error reply and a payload with nil and empty slices.
 func TestTCPBothCodecsRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
+	for _, codec := range []Codec{CodecBinary, CodecBinaryFlate} {
 		t.Run(codec.String(), func(t *testing.T) {
 			srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 9}, codec)
 			if err != nil {
@@ -445,7 +445,7 @@ func (c slowSinkConn) Write(p []byte) (int, error) {
 // must ride the next one.
 func TestFrameWriterCoalesces(t *testing.T) {
 	var stats tcpCounters
-	w := newFrameWriter(slowSinkConn{delay: 2 * time.Millisecond}, CodecBinary, &stats, vtime.SchedOf(nil))
+	w := newFrameWriter(slowSinkConn{delay: 2 * time.Millisecond}, &stats, vtime.SchedOf(nil))
 	defer w.close()
 	const writers, frames = 16, 8
 	var wg sync.WaitGroup

@@ -109,7 +109,7 @@ func decodeUvarint(b []byte) (uint64, []byte, error) {
 
 // appendBytes writes a uvarint length followed by the raw bytes. nil and
 // empty slices are indistinguishable on the wire (both decode to nil, which
-// matches what an encoding/gob round trip produces).
+// matches the gob reference round trip the codec tests compare against).
 func appendBytes(b, p []byte) []byte {
 	b = appendUvarint(b, uint64(len(p)))
 	return append(b, p...)
@@ -435,8 +435,7 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 }
 
 // DecodeMessage decodes one tagged message from b, returning the decoded
-// value (a concrete wire struct, matching what the gob path delivers) and
-// the unconsumed rest.
+// value (a concrete wire struct) and the unconsumed rest.
 func DecodeMessage(b []byte) (any, []byte, error) {
 	if len(b) < 1 {
 		return nil, nil, ErrShortBuffer

@@ -30,11 +30,23 @@ func binaryRoundTrip(t *testing.T, msg any) any {
 	return out
 }
 
-// gobRoundTrip encodes msg with encoding/gob (through an Envelope, as the
-// gob transport path does) and decodes it back.
+// The encoding/gob round trip is the reference the binary codec is checked
+// against: it needs every wire message registered to carry them in an
+// Envelope's interface-typed Payload.
+func init() {
+	for _, m := range []any{
+		ReadRequest{}, ReadReply{}, WriteRequest{}, WriteReply{},
+		GossipRequest{}, GossipReply{}, GossipDeltaRequest{}, GossipDeltaReply{},
+		PingRequest{}, PingReply{},
+	} {
+		gob.Register(m)
+	}
+}
+
+// gobRoundTrip encodes msg with encoding/gob (through an Envelope) and
+// decodes it back.
 func gobRoundTrip(t *testing.T, msg any) any {
 	t.Helper()
-	RegisterGob()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&Envelope{ID: 1, Payload: msg}); err != nil {
 		t.Fatalf("gob encode %T: %v", msg, err)

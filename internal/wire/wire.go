@@ -2,9 +2,7 @@
 // servers: the read and write RPCs of the paper's access protocols
 // (Sections 3.1, 4 and 5.2) plus the push-pull messages of the diffusion
 // mechanism (Section 1.1). Both transports carry these types. The TCP
-// transport serializes them with the hand-rolled binary codec in codec.go by
-// default, and can fall back to encoding/gob (which is why RegisterGob
-// exists) for wire-compat testing.
+// transport serializes them with the hand-rolled binary codec in codec.go.
 //
 // # Binary wire format
 //
@@ -55,24 +53,19 @@
 // fails loudly with ErrUnknownTag, per the versioning rule.
 //
 // found/stored are one byte (0/1); key is a string; value/sig are
-// length-prefixed byte fields where a zero length decodes to nil (matching a
-// gob round trip of an empty slice). Tag 0 is reserved: a reply whose
-// payload slot holds tag 0 carries no payload (error replies).
+// length-prefixed byte fields where a zero length decodes to nil (matching
+// the gob reference round trip the codec tests compare against). Tag 0 is
+// reserved: a reply whose payload slot holds tag 0 carries no payload (error
+// replies).
 //
 // Versioning rule: tags are append-only and never reused. Message layouts
 // are frozen once a tag ships — extending a message means minting a new tag
 // (and keeping the old decoder alive for one release), never appending
 // fields to an existing layout, because decoders reject frames with trailing
-// bytes. Unknown tags fail the frame, closing the connection, which is the
-// same failure mode as a gob type mismatch.
+// bytes. Unknown tags fail the frame, closing the connection.
 package wire
 
-import (
-	"encoding/gob"
-	"sync"
-
-	"pqs/internal/ts"
-)
+import "pqs/internal/ts"
 
 // ReadRequest asks a server for its current copy of a key.
 type ReadRequest struct {
@@ -203,23 +196,4 @@ type ReplyEnvelope struct {
 	Payload any
 	Err     string
 	ErrKind byte
-}
-
-var registerOnce sync.Once
-
-// RegisterGob registers every wire message with encoding/gob. Safe to call
-// multiple times; the TCP transport calls it on construction.
-func RegisterGob() {
-	registerOnce.Do(func() {
-		gob.Register(ReadRequest{})
-		gob.Register(ReadReply{})
-		gob.Register(WriteRequest{})
-		gob.Register(WriteReply{})
-		gob.Register(GossipRequest{})
-		gob.Register(GossipReply{})
-		gob.Register(GossipDeltaRequest{})
-		gob.Register(GossipDeltaReply{})
-		gob.Register(PingRequest{})
-		gob.Register(PingReply{})
-	})
 }

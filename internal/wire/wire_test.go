@@ -1,28 +1,21 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"pqs/internal/ts"
 )
 
-func TestRegisterGobIdempotent(t *testing.T) {
-	RegisterGob()
-	RegisterGob() // must not panic on duplicate registration
-}
-
-// roundTrip encodes and decodes an envelope carrying payload.
+// roundTrip encodes and decodes an envelope carrying payload through the
+// binary codec.
 func roundTrip(t *testing.T, payload any) any {
 	t.Helper()
-	RegisterGob()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Envelope{ID: 7, Payload: payload}); err != nil {
+	b, err := AppendEnvelope(nil, Envelope{ID: 7, Payload: payload})
+	if err != nil {
 		t.Fatalf("encode %T: %v", payload, err)
 	}
-	var out Envelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+	out, err := DecodeEnvelope(b)
+	if err != nil {
 		t.Fatalf("decode %T: %v", payload, err)
 	}
 	if out.ID != 7 {
@@ -75,14 +68,12 @@ func TestEnvelopeRoundTripAllMessages(t *testing.T) {
 }
 
 func TestReplyEnvelopeCarriesError(t *testing.T) {
-	RegisterGob()
-	var buf bytes.Buffer
-	in := ReplyEnvelope{ID: 9, Err: "boom"}
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
+	b, err := AppendReplyEnvelope(nil, ReplyEnvelope{ID: 9, Err: "boom"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out ReplyEnvelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+	out, err := DecodeReplyEnvelope(b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out.ID != 9 || out.Err != "boom" || out.Payload != nil {

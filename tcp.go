@@ -255,17 +255,15 @@ type TCPClient = transport.TCPClient
 type Codec = transport.Codec
 
 // The available wire codecs. CodecBinary is the hand-rolled binary fast
-// path and the default; CodecGob is the reflective baseline; the flate
-// codec is CodecBinary plus deflate compression of payload slots above a
-// size threshold — the WAN profile.
+// path and the default; the flate codec is CodecBinary plus deflate
+// compression of payload slots above a size threshold — the WAN profile.
 const (
 	CodecBinary      = transport.CodecBinary
-	CodecGob         = transport.CodecGob
 	CodecBinaryFlate = transport.CodecBinaryFlate
 )
 
-// ParseCodec maps the flag-level codec names ("binary", "gob",
-// "binary-flate") to Codec values; pqsd and pqs-cli -codec use it.
+// ParseCodec maps the flag-level codec names ("binary", "binary-flate")
+// to Codec values; pqsd and pqs-cli -codec use it.
 func ParseCodec(s string) (Codec, error) { return transport.ParseCodec(s) }
 
 // LifecycleConfig tunes the per-server connection lifecycle

@@ -4,15 +4,11 @@
 // (ops/sec, ns/op, B/op, allocs/op) in BENCH_throughput.json so the perf
 // trajectory across PRs has data points; `make bench-smoke` (CI) runs them
 // for one iteration to guard against bit-rot.
-//
-// The gob sub-benchmarks are the pre-fast-path baseline, measured in the
-// same run as the binary codec so the headline ratios are apples-to-apples.
 package pqs_test
 
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -63,30 +59,6 @@ func BenchmarkCodecBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecGob measures the same round trip through encoding/gob with a
-// persistent encoder/decoder pair (the best case for gob: type descriptors
-// are sent once, exactly as on a long-lived connection).
-func BenchmarkCodecGob(b *testing.B) {
-	wire.RegisterGob()
-	for name, msg := range codecMessages() {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			dec := gob.NewDecoder(&buf)
-			for i := 0; i < b.N; i++ {
-				if err := enc.Encode(&wire.Envelope{ID: uint64(i), Payload: msg}); err != nil {
-					b.Fatal(err)
-				}
-				var out wire.Envelope
-				if err := dec.Decode(&out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // reportOpsPerSec attaches the headline ops/sec metric.
 func reportOpsPerSec(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
@@ -104,7 +76,7 @@ func newThroughputMemClient(b *testing.B) *pqs.Client {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster, err := pqs.NewLocalCluster(sys.N(), 1)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,13 +155,13 @@ func BenchmarkThroughputCells(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cluster, err := pqs.NewLocalClusterCells(cells, cellN, 1)
+			cluster, err := pqs.NewCluster(pqs.ClusterConfig{Cells: cells, N: cellN, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			client, err := pqs.NewClient(pqs.ClientConfig{
 				System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 2,
-				Cells: cells,
+				Topology: pqs.Topology{Cells: cells},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -230,22 +202,22 @@ func BenchmarkThroughputCells(b *testing.B) {
 }
 
 // newThroughputTCPClient builds a 5-replica universe over real sockets with
-// the given codec and a q=3 client on one multiplexed connection per
-// server — the fixture for the binary-vs-gob data-plane comparison.
-func newThroughputTCPClient(b *testing.B, codec transport.Codec) *pqs.Client {
+// the binary codec and a q=3 client on one multiplexed connection per
+// server.
+func newThroughputTCPClient(b *testing.B) *pqs.Client {
 	b.Helper()
 	const n = 5
 	addrs := make(map[quorum.ServerID]string, n)
 	for i := 0; i < n; i++ {
 		rep := replica.New(quorum.ServerID(i))
-		srv, err := transport.ListenTCPCodec("127.0.0.1:0", rep, codec)
+		srv, err := transport.ListenTCP("127.0.0.1:0", rep)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { srv.Close() })
 		addrs[quorum.ServerID(i)] = srv.Addr()
 	}
-	tc := transport.NewTCPClientCodec(addrs, codec)
+	tc := transport.NewTCPClient(addrs)
 	b.Cleanup(func() { tc.Close() })
 	sys, err := pqs.New(pqs.Config{N: n, Q: 3})
 	if err != nil {
@@ -258,42 +230,39 @@ func newThroughputTCPClient(b *testing.B, codec transport.Codec) *pqs.Client {
 	return client
 }
 
-// benchTCP runs op concurrently against a TCP fixture per codec. Running
-// both codecs in one benchmark invocation makes the ops/sec ratio a
-// same-machine, same-run comparison.
+// benchTCP runs op concurrently against the TCP fixture. The sub-benchmark
+// is named after the codec so BENCH_throughput.json rows keep their names.
 func benchTCP(b *testing.B, op func(ctx context.Context, client *pqs.Client, key string) error) {
-	for _, codec := range []transport.Codec{transport.CodecBinary, transport.CodecGob} {
-		b.Run(codec.String(), func(b *testing.B) {
-			client := newThroughputTCPClient(b, codec)
-			ctx := context.Background()
-			if _, err := client.Write(ctx, "bench", benchPayload); err != nil {
-				b.Fatal(err)
-			}
-			var goroutineID atomic.Int64
-			// Throughput regime: keep well more requests in flight than
-			// cores so the multiplexed connections stay busy (this is what
-			// exercises flush coalescing; a lone caller measures latency,
-			// not throughput).
-			b.SetParallelism(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				key := fmt.Sprintf("bench-%d", goroutineID.Add(1))
-				for pb.Next() {
-					if err := op(ctx, client, key); err != nil {
-						b.Error(err)
-						return
-					}
+	b.Run(transport.CodecBinary.String(), func(b *testing.B) {
+		client := newThroughputTCPClient(b)
+		ctx := context.Background()
+		if _, err := client.Write(ctx, "bench", benchPayload); err != nil {
+			b.Fatal(err)
+		}
+		var goroutineID atomic.Int64
+		// Throughput regime: keep well more requests in flight than
+		// cores so the multiplexed connections stay busy (this is what
+		// exercises flush coalescing; a lone caller measures latency,
+		// not throughput).
+		b.SetParallelism(8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			key := fmt.Sprintf("bench-%d", goroutineID.Add(1))
+			for pb.Next() {
+				if err := op(ctx, client, key); err != nil {
+					b.Error(err)
+					return
 				}
-			})
-			b.StopTimer()
-			reportOpsPerSec(b)
+			}
 		})
-	}
+		b.StopTimer()
+		reportOpsPerSec(b)
+	})
 }
 
 // BenchmarkThroughputTCPRead measures concurrent quorum reads over real
-// sockets, binary codec vs the gob baseline in the same run.
+// sockets.
 func BenchmarkThroughputTCPRead(b *testing.B) {
 	benchTCP(b, func(ctx context.Context, client *pqs.Client, _ string) error {
 		_, err := client.Read(ctx, "bench")
@@ -302,7 +271,7 @@ func BenchmarkThroughputTCPRead(b *testing.B) {
 }
 
 // BenchmarkThroughputTCPWrite measures concurrent quorum writes over real
-// sockets, binary codec vs the gob baseline in the same run.
+// sockets.
 func BenchmarkThroughputTCPWrite(b *testing.B) {
 	benchTCP(b, func(ctx context.Context, client *pqs.Client, key string) error {
 		_, err := client.Write(ctx, key, benchPayload)
