@@ -14,10 +14,10 @@ import (
 // and Write: it dispatches one RPC per access-set member, promotes spare
 // servers when a member fails or a hedge delay elapses, and returns as soon
 // as the caller's completion rule is decidable, leaving stragglers to a
-// background drain that can never leak goroutines (every in-flight call owns
-// one worker that terminates when its transport call returns, and the
-// reply channel is buffered for every call that can ever be dispatched, so
-// senders never block).
+// background drain that can never leak goroutines (the reply channel is
+// buffered for every call that can ever be dispatched, so no call's
+// delivery ever blocks, and every worker terminates when its transport
+// call returns).
 //
 // Promotion preserves the attempt-level ε argument documented on
 // RetryingClient and quorum.SpareSampler: a spare is dispatched only when a
@@ -26,12 +26,22 @@ import (
 // sample conditioned on liveness, the same conditioning a full re-sample
 // performs, at a fraction of the latency.
 //
-// All timers and spawns go through the client's vtime.Clock. Under the
-// wall clock, calls run on a small pool of idle-retiring worker goroutines
-// (steady-state operations spawn no goroutines at all); under a
-// vtime.SimClock, every call runs as a registered scheduler worker and the
-// gather loop parks around its select, so hedge firing is part of the
-// deterministic virtual-time order.
+// A member call runs in one of three regimes (see dispatch):
+//
+//   - inline: under the wall clock, a call the transport can finish
+//     without waiting (transport.Immediate — a MemNetwork with no latency,
+//     hook or capacity cap on the destination) runs on the issuing
+//     goroutine, and its reply is already buffered when the gather loop
+//     looks for it. No goroutine, channel handoff or timer is involved.
+//   - pooled: under the wall clock, every other call (TCP, injected
+//     latency, link hooks, capacity caps) goes to a small pool of
+//     idle-retiring worker goroutines, so a straggler can be hedged around
+//     while it waits; steady-state operations spawn no goroutines.
+//   - SimClock: under a vtime.SimClock, every call runs as a registered
+//     scheduler worker (or synchronously with Options.InlineDispatch) and
+//     the gather loop parks around its select, so hedge firing is part of
+//     the deterministic virtual-time order. All timers and spawns go
+//     through the client's vtime.Clock.
 
 // callReply carries one server's response through the gather loop. lat is
 // the call's round-trip latency, measured only when adaptive hedging needs
@@ -67,6 +77,12 @@ func (c *cell) runJob(j dispatchJob) {
 		start = c.clock.Now()
 	}
 	resp, err := c.opts.Transport.Call(j.ctx, j.id, j.req)
+	c.deliver(j, start, resp, err)
+}
+
+// deliver sends one call's reply, timing it from start when adaptive
+// hedging needs the latency.
+func (c *cell) deliver(j dispatchJob, start time.Time, resp any, err error) {
 	r := callReply{id: j.id, resp: resp, err: err}
 	if j.timed {
 		r.lat = c.clock.Since(start)
@@ -77,10 +93,14 @@ func (c *cell) runJob(j dispatchJob) {
 	j.ch <- r
 }
 
-// dispatch hands one call to a worker: a registered scheduler worker under
-// a SimClock, otherwise an idle pooled goroutine (spawning a fresh one
+// dispatch issues one member call in the regime its clock and transport
+// allow (see the file comment): under a SimClock, as a registered
+// scheduler worker or synchronously with InlineDispatch; under the wall
+// clock, on the issuing goroutine when the transport accepts it through
+// CallNow, otherwise on an idle pooled goroutine (spawning a fresh one
 // only when none is parked on the jobs channel — after the first
 // operation warms the pool, steady-state reads and writes spawn nothing).
+// Every regime delivers exactly one reply per call into ch.
 func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, ch chan<- callReply, timed bool) {
 	if c.health != nil && c.health.ServerDown(id) {
 		// The transport's circuit breaker already proved this member
@@ -106,6 +126,19 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, ch cha
 		}
 		c.sched.Go(func() { c.runJob(j) })
 		return
+	}
+	if c.imm != nil {
+		// A call that cannot wait gains nothing from a worker: a hedge
+		// could never fire before it returns. Run it here; the transport
+		// declines (without side effects) any call that might wait.
+		var start time.Time
+		if timed {
+			start = c.clock.Now()
+		}
+		if resp, err, ok := c.imm.CallNow(ctx, id, req); ok {
+			c.deliver(j, start, resp, err)
+			return
+		}
 	}
 	select {
 	case c.jobs <- j:
@@ -181,7 +214,7 @@ type gatherSpec struct {
 // gatherOutcome reports a gather run.
 type gatherOutcome struct {
 	ok       int
-	errs     map[quorum.ServerID]error
+	errs     map[quorum.ServerID]error // failed members; nil until the first failure
 	promoted int
 	early    bool
 	leftover int
@@ -198,7 +231,7 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 	for _, id := range spec.quorum {
 		c.dispatch(ctx, id, spec.req, ch, timed)
 	}
-	out := gatherOutcome{errs: make(map[quorum.ServerID]error), ch: ch}
+	out := gatherOutcome{ch: ch}
 	outstanding := len(spec.quorum)
 	next := 0
 	promote := func() bool {
@@ -237,6 +270,9 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 			}
 		}
 		if r.err != nil {
+			if out.errs == nil {
+				out.errs = make(map[quorum.ServerID]error)
+			}
 			out.errs[r.id] = r.err
 			promote()
 			return false
@@ -252,13 +288,15 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 		}
 		return false
 	}
-	inline := c.opts.InlineDispatch && c.sched != nil
+	// Replies already buffered are consumed without a select or a park.
+	// Inline calls — every call under InlineDispatch, and under the wall
+	// clock every call the transport ran through CallNow, including the
+	// ones a promote() just issued — have buffered theirs before the loop
+	// looks. Under a SimClock without InlineDispatch the loop always parks,
+	// so the virtual-time order stays exactly as it was.
+	tryBuffered := c.sched == nil || c.opts.InlineDispatch
 	for outstanding > 0 {
-		if inline {
-			// Inline dispatch already buffered every reply, including the
-			// ones a promote() just issued: consume without parking. The
-			// empty-channel fallthrough to the parking select is for safety
-			// only (it cannot fire while replies are delivered inline).
+		if tryBuffered {
 			select {
 			case r := <-ch:
 				c.noteRecv()
@@ -303,6 +341,11 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 // semantics), in which case there is nothing to drain but errors — only
 // successful late replies count toward AccessStats.LateReplies.
 //
+// Under the wall clock with no late-reply hook, when every late reply is
+// already buffered (the usual case once calls run inline), there is
+// nothing to wait for: drain consumes them synchronously instead of
+// spawning a worker.
+//
 // Late replies deliberately do NOT feed the adaptive-hedge latency
 // estimator: the estimator measures the population of replies that
 // complete operations, which is what the hedge delay competes with. A
@@ -314,6 +357,14 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 // and the delay rises.
 func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
 	if out.leftover == 0 {
+		return
+	}
+	if c.sched == nil && onLate == nil && len(out.ch) == out.leftover {
+		for i := 0; i < out.leftover; i++ {
+			if r := <-out.ch; r.err == nil {
+				c.statLate.Add(1)
+			}
+		}
 		return
 	}
 	c.drainWG.Add(1)

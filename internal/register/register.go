@@ -203,7 +203,9 @@ type Options struct {
 	// is what makes million-op population runs (internal/load) affordable.
 	// Only sensible on a zero-latency transport: a transport that sleeps
 	// per call would serialize those sleeps on the issuing worker. Ignored
-	// without a SimClock.
+	// without a SimClock: under the wall clock, calls the transport can
+	// finish without waiting already run on the issuing goroutine with no
+	// option needed (transport.Immediate; see dispatch in access.go).
 	InlineDispatch bool
 }
 
@@ -243,6 +245,11 @@ type cell struct {
 	// (a breaker-enabled TCPClient): dispatch fails known-down members at
 	// t=0 so the gather promotes spares immediately (see access.go).
 	health transport.HealthReporter
+
+	// imm is non-nil when the transport can run a call that will not wait
+	// on the issuing goroutine (a MemNetwork with no delay configured):
+	// wall-mode dispatch tries it before the worker pool (see access.go).
+	imm transport.Immediate
 
 	accessCounters
 	drainWG *vtime.WaitGroup
@@ -318,6 +325,9 @@ func newCell(opts Options) (*cell, error) {
 	if hr, ok := opts.Transport.(transport.HealthReporter); ok {
 		c.health = hr
 	}
+	if im, ok := opts.Transport.(transport.Immediate); ok {
+		c.imm = im
+	}
 	return c, nil
 }
 
@@ -336,7 +346,7 @@ type WriteResult struct {
 	// Acked lists the members (or promoted spares) that acknowledged before
 	// the write completed; late acknowledgements land in Stats.
 	Acked []quorum.ServerID
-	// Errs maps failed members to their errors.
+	// Errs maps failed members to their errors (nil when none failed).
 	Errs map[quorum.ServerID]error
 	// Stamp is the timestamp assigned to this write.
 	Stamp ts.Stamp
@@ -472,7 +482,10 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 
 	res := ReadResult{Quorum: append([]quorum.ServerID(nil), q...)}
 	collected := make([]wire.ReadReply, 0, len(q))
-	byID := make(map[quorum.ServerID]wire.ReadReply, len(q))
+	var byID map[quorum.ServerID]wire.ReadReply // replies by server, kept only for read repair
+	if c.opts.ReadRepair {
+		byID = make(map[quorum.ServerID]wire.ReadReply, len(q))
+	}
 	verified := 0
 	var collectedOK []bool    // parallel to collected (Dissemination only)
 	var votes map[voteKey]int // vote tally shared by maskDecided and selectMasking
@@ -504,7 +517,9 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 				return fmt.Errorf("register: unexpected reply type %T", resp)
 			}
 			res.Replies++
-			byID[id] = msg
+			if byID != nil {
+				byID[id] = msg
+			}
 			if msg.Found {
 				collected = append(collected, msg)
 				switch c.opts.Mode {

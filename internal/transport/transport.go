@@ -193,6 +193,13 @@ func splitmix64(x uint64) uint64 {
 // Register attaches a server handler under the given id, replacing any
 // previous registration. Re-registering a departed id (see Deregister)
 // models a server rejoining the membership.
+//
+// Handler contract: while no delay is configured for the server (no
+// simulated latency, no LinkHook, no concurrency cap), CallNow runs h on
+// the caller's goroutine — the client's own, inside its gather loop — so h
+// must not block. Every handler in this repository complies; a handler
+// that sleeps (replica.Delayed) belongs behind a TCP server or a
+// configured latency, where calls go through a worker.
 func (n *MemNetwork) Register(id quorum.ServerID, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -334,6 +341,70 @@ func (n *MemNetwork) SetCallerGroup(g int) {
 	n.callGroup = g
 }
 
+// Immediate is an optional Transport capability: a transport that can
+// tell, before starting a call, that the call will finish without waiting
+// (no simulated delay, no queueing, no I/O) implements it, and the gather
+// engine (internal/register) then runs that call on the issuing goroutine
+// instead of handing it to a worker. CallNow either performs the call and
+// returns exactly what Call would have returned (ok == true), or does
+// nothing at all and reports ok == false, in which case the caller issues
+// the call through Call as usual.
+//
+// An accepted call runs the destination's handler on the caller's
+// goroutine, so handlers reachable through CallNow must not block; see
+// MemNetwork.Register.
+type Immediate interface {
+	CallNow(ctx context.Context, to quorum.ServerID, req any) (resp any, err error, ok bool)
+}
+
+// memCall is one call's view of the network configuration, read under a
+// single RLock so every check of the call sees one consistent snapshot.
+type memCall struct {
+	h         Handler
+	known     bool
+	crashed   bool
+	sameGroup bool
+	drop      float64
+	callCnt   *atomic.Uint64
+	hook      LinkHook
+	sem       chan struct{}
+	clock     vtime.Clock
+	minLat    time.Duration
+	maxLat    time.Duration
+}
+
+// snapshot reads the configuration that governs one call to server to.
+func (n *MemNetwork) snapshot(to quorum.ServerID) memCall {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	h, known := n.handlers[to]
+	s := memCall{
+		h:         h,
+		known:     known,
+		crashed:   n.crashed[to],
+		sameGroup: n.groups[to] == n.callGroup,
+		drop:      n.dropProb,
+		callCnt:   n.callSeq[to],
+		hook:      n.hook,
+		sem:       n.sems[to],
+		clock:     n.clock,
+		minLat:    n.minLat,
+		maxLat:    n.maxLat,
+	}
+	if lr, ok := n.perServer[to]; ok {
+		s.minLat, s.maxLat = lr.min, lr.max
+	}
+	return s
+}
+
+// waits reports whether a call under this snapshot may wait: simulated
+// latency (a per-server override always has a positive max, so a zero
+// effective range means no global range and no override), a LinkHook
+// (which may delay the call), or a concurrency cap (which may queue it).
+func (s *memCall) waits() bool {
+	return s.maxLat > 0 || s.hook != nil || s.sem != nil
+}
+
 // Call implements Transport. The call observes, in order: partition state,
 // crash state, the installed LinkHook (if any), simulated loss, simulated
 // latency, then the server handler. Simulated loss surfaces promptly as
@@ -341,33 +412,42 @@ func (n *MemNetwork) SetCallerGroup(g int) {
 // large experiments fast; production callers treat ErrDropped like a
 // timeout.
 func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
-	n.mu.RLock()
-	h, ok := n.handlers[to]
-	crashed := n.crashed[to]
-	drop := n.dropProb
-	callCnt := n.callSeq[to]
-	hook := n.hook
-	sem := n.sems[to]
-	clock := n.clock
-	minLat, maxLat := n.minLat, n.maxLat
-	if lr, ok := n.perServer[to]; ok {
-		minLat, maxLat = lr.min, lr.max
-	}
-	sameGroup := n.groups[to] == n.callGroup
-	n.mu.RUnlock()
+	s := n.snapshot(to)
+	return n.call(ctx, to, req, &s)
+}
 
-	if !ok {
+// CallNow implements Immediate. It accepts a call only when the
+// destination's configuration has nothing that could make it wait — no
+// simulated latency (global or per-server), no LinkHook, no concurrency
+// cap — and then runs exactly Call's check sequence on the caller's
+// goroutine: unknown server, partition, crash, seeded drop (advancing the
+// per-destination call counter exactly as Call does, so drop patterns
+// replay), context, handler. A declined call has no effect: the counter
+// does not advance and no hook is consulted.
+func (n *MemNetwork) CallNow(ctx context.Context, to quorum.ServerID, req any) (resp any, err error, ok bool) {
+	s := n.snapshot(to)
+	if s.waits() {
+		return nil, nil, false
+	}
+	resp, err = n.call(ctx, to, req, &s)
+	return resp, err, true
+}
+
+// call runs one call's checks, delays and handler under snapshot s; Call
+// and CallNow share it so the two paths cannot drift.
+func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, s *memCall) (any, error) {
+	if !s.known {
 		return nil, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
 	}
-	if !sameGroup {
+	if !s.sameGroup {
 		return nil, fmt.Errorf("server %d: %w", to, ErrPartitioned)
 	}
-	if crashed {
+	if s.crashed {
 		return nil, fmt.Errorf("server %d: %w", to, ErrCrashed)
 	}
 	var fault CallFault
-	if hook != nil {
-		fault = hook.FilterCall(SourceFromContext(ctx), to, req)
+	if s.hook != nil {
+		fault = s.hook.FilterCall(SourceFromContext(ctx), to, req)
 		if fault.Drop {
 			return nil, fmt.Errorf("server %d: %w", to, ErrDropped)
 		}
@@ -375,57 +455,58 @@ func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any
 			req = fault.ReplaceReq
 		}
 	}
-	if sem != nil {
+	if s.sem != nil {
 		// Service-time accounting (SetServerConcurrency): hold one of the
 		// destination's slots across the latency sleep and the handler.
 		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
+		case s.sem <- struct{}{}:
+			defer func() { <-s.sem }()
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	if drop > 0 || maxLat > minLat {
+	minLat, maxLat := s.minLat, s.maxLat
+	if s.drop > 0 || maxLat > minLat {
 		// One decision word per call, counter-hashed: both the drop verdict
 		// and the latency draw depend only on (seed, destination,
 		// per-destination call count), so harnesses that keep the call
 		// sequence deterministic replay drops and latency byte-for-byte
 		// (see callSeq).
-		seq := callCnt.Add(1)
+		seq := s.callCnt.Add(1)
 		base := splitmix64(n.seed ^ (uint64(to)+1)<<32 ^ seq)
-		if drop > 0 {
+		if s.drop > 0 {
 			u := splitmix64(base ^ 0x0D)
-			if float64(u>>11)/(1<<53) < drop {
+			if float64(u>>11)/(1<<53) < s.drop {
 				return nil, fmt.Errorf("server %d: %w", to, ErrDropped)
 			}
 		}
 		if maxLat > minLat {
 			d := minLat + time.Duration(splitmix64(base^0x1A)%uint64(maxLat-minLat+1))
 			if d > 0 {
-				if err := clock.SleepCtx(ctx, d); err != nil {
+				if err := s.clock.SleepCtx(ctx, d); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 	if maxLat == minLat && maxLat > 0 {
-		if err := clock.SleepCtx(ctx, minLat); err != nil {
+		if err := s.clock.SleepCtx(ctx, minLat); err != nil {
 			return nil, err
 		}
 	}
 	if fault.Delay > 0 {
-		if err := clock.SleepCtx(ctx, fault.Delay); err != nil {
+		if err := s.clock.SleepCtx(ctx, fault.Delay); err != nil {
 			return nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp, err := h.Handle(ctx, req)
+	resp, err := s.h.Handle(ctx, req)
 	if fault.Duplicate {
 		// Deliver the request a second time, discarding the second reply:
 		// the visible effect is what idempotency (or its absence) makes it.
-		h.Handle(ctx, req) //nolint:errcheck // duplicate delivery, reply discarded
+		s.h.Handle(ctx, req) //nolint:errcheck // duplicate delivery, reply discarded
 	}
 	if fault.MutateReply != nil {
 		resp, err = fault.MutateReply(resp, err)
@@ -433,4 +514,7 @@ func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any
 	return resp, err
 }
 
-var _ Transport = (*MemNetwork)(nil)
+var (
+	_ Transport = (*MemNetwork)(nil)
+	_ Immediate = (*MemNetwork)(nil)
+)
