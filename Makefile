@@ -119,15 +119,17 @@ chaos-short:
 chaos-tcp:
 	$(GO) run ./cmd/pqs-chaos -scale 1 -seed $(CHAOS_SEED) -transport mem,tcp-virtual -verify-determinism -json -o /dev/null
 
-# The virtual-time gate: the long-form ε measurements (hundreds of trials
-# over a 100-server cluster with tens of milliseconds of injected latency,
-# stragglers and adaptive hedging — minutes of simulated time that used to
-# be far too slow for CI) run under vtime.SimClock and must finish >= 50x
-# (MemNetwork) / >= 20x (virtual TCP data plane) faster than the simulated
-# duration, proving the speedup is real and gating regressions that
-# reintroduce wall-clock waits into the simulated path.
+# The virtual-time gate: the long-form ε measurements (hundreds of
+# write-then-read trials through chaos.Run over a 100-server cluster with
+# tens of milliseconds of injected latency, stragglers and adaptive
+# hedging — minutes of simulated time that used to be far too slow for CI)
+# run under vtime.SimClock and must finish >= 50x (MemNetwork) / >= 20x
+# (virtual TCP data plane) faster than the simulated duration, proving the
+# speedup is real and gating regressions that reintroduce wall-clock waits
+# into the simulated path. The tests are built with !race: `make race`
+# covers ./internal/chaos but would trip these wall-clock gates.
 sim-fast:
-	$(GO) test -run 'TestSimFastLongFormEpsilon|TestSimFastLongFormEpsilonTCP|TestAdaptiveHedgeEpsilonPreserved' -v ./internal/sim
+	$(GO) test -run 'TestSimFastLongFormEpsilon|TestSimFastLongFormEpsilonTCP|TestAdaptiveHedgeEpsilonPreserved' -v ./internal/chaos
 
 # The population-scale gate: the internal/load scale/ matrix — 10k-client
 # open-loop populations against n=1000 and n=2000 universes (plus a

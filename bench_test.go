@@ -20,10 +20,10 @@ import (
 
 	"pqs"
 	"pqs/internal/analysis"
+	"pqs/internal/chaos"
 	"pqs/internal/core"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
-	"pqs/internal/sim"
 )
 
 // BenchmarkTable1 regenerates the Table 1 bounds summary.
@@ -103,6 +103,25 @@ func BenchmarkFigure2(b *testing.B) { benchFigure(b, analysis.Figure2) }
 // b = √n).
 func BenchmarkFigure3(b *testing.B) { benchFigure(b, analysis.Figure3) }
 
+// empiricalEpsilon runs cfg as Monte-Carlo write-then-read trials (one
+// fresh key per pair) with servers 0..forgers-1 colluding on a fabricated
+// value, and returns the checker's measured ε.
+func empiricalEpsilon(b *testing.B, cfg chaos.Config, forgers int) float64 {
+	cfg.Keys = cfg.Ops
+	if forgers > 0 {
+		ids := make([]quorum.ServerID, forgers)
+		for i := range ids {
+			ids[i] = quorum.ServerID(i)
+		}
+		cfg.Schedule = append(cfg.Schedule, chaos.At(0, chaos.Collude("\x00fabricated", ids...)))
+	}
+	rep, err := chaos.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Check.Epsilon
+}
+
 // BenchmarkEmpiricalEpsilonBenign validates Theorem 3.2 end to end: it runs
 // write-then-read trials through the full protocol stack and reports the
 // empirical vs exact ε.
@@ -114,13 +133,9 @@ func BenchmarkEmpiricalEpsilonBenign(b *testing.B) {
 	const trials = 1500
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: e, Mode: register.Benign, Trials: trials, Seed: int64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
+		rate = empiricalEpsilon(b, chaos.Config{
+			System: e, Mode: register.Benign, Ops: trials, Seed: int64(i) + 1,
+		}, 0)
 	}
 	b.ReportMetric(rate, "eps-empirical")
 	b.ReportMetric(e.Epsilon(), "eps-exact")
@@ -136,13 +151,9 @@ func BenchmarkEmpiricalEpsilonDissemination(b *testing.B) {
 	const trials = 1500
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: d, Mode: register.Dissemination, B: 6, Trials: trials, Seed: int64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
+		rate = empiricalEpsilon(b, chaos.Config{
+			System: d, Mode: register.Dissemination, Ops: trials, Seed: int64(i) + 1,
+		}, 6)
 	}
 	b.ReportMetric(rate, "eps-empirical")
 	b.ReportMetric(d.Epsilon(), "eps-exact")
@@ -158,13 +169,9 @@ func BenchmarkEmpiricalEpsilonMasking(b *testing.B) {
 	const trials = 1500
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: m, Mode: register.Masking, K: m.K(), B: 3, Trials: trials, Seed: int64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
+		rate = empiricalEpsilon(b, chaos.Config{
+			System: m, Mode: register.Masking, K: m.K(), Ops: trials, Seed: int64(i) + 1,
+		}, 3)
 	}
 	b.ReportMetric(rate, "eps-empirical")
 	b.ReportMetric(m.Epsilon(), "eps-exact")
@@ -365,14 +372,11 @@ func BenchmarkEmpiricalEpsilonBenignHedged(b *testing.B) {
 	const trials = 1500
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: e, Mode: register.Benign, Trials: trials, Seed: int64(i) + 1,
-			Tuning: pqs.Tuning{Spares: 3, EagerRead: true}, DropProb: 0.05,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
+		rate = empiricalEpsilon(b, chaos.Config{
+			System: e, Mode: register.Benign, Ops: trials, Seed: int64(i) + 1,
+			Tuning:   pqs.Tuning{Spares: 3, EagerRead: true},
+			Schedule: chaos.Schedule{chaos.At(0, chaos.Drop(0.05))},
+		}, 0)
 		if rate > e.EpsilonBound() {
 			b.Fatalf("hedged empirical eps %.4f exceeds bound %.4f", rate, e.EpsilonBound())
 		}
@@ -394,14 +398,11 @@ func BenchmarkEmpiricalEpsilonMaskingHedged(b *testing.B) {
 	const trials = 1500
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: m, Mode: register.Masking, K: m.K(), B: 3, Trials: trials, Seed: int64(i) + 1,
-			Tuning: pqs.Tuning{Spares: 3, EagerRead: true}, DropProb: 0.03,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
+		rate = empiricalEpsilon(b, chaos.Config{
+			System: m, Mode: register.Masking, K: m.K(), Ops: trials, Seed: int64(i) + 1,
+			Tuning:   pqs.Tuning{Spares: 3, EagerRead: true},
+			Schedule: chaos.Schedule{chaos.At(0, chaos.Drop(0.03))},
+		}, 3)
 		if rate > m.EpsilonBound() {
 			b.Fatalf("hedged empirical eps %.4f exceeds bound %.4f", rate, m.EpsilonBound())
 		}

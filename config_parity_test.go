@@ -46,7 +46,6 @@ func TestConfigKnobParity(t *testing.T) {
 		{reflect.TypeOf(ClientConfig{}), []string{
 			"Transport", // transport.Transport object, not the plane selector
 		}},
-		{reflect.TypeOf(sim.ConsistencyConfig{}), nil},
 		{reflect.TypeOf(chaos.Config{}), nil},
 		{reflect.TypeOf(load.Config{}), nil},
 	}

@@ -1,6 +1,6 @@
-// Adversary-replica library: Byzantine behaviors beyond the colluding
-// forger the sim package installs, plus helpers for placing an adversary
-// set where it hurts the most.
+// Adversary-replica library: colluding forgers and the Byzantine behaviors
+// beyond them, plus helpers for placing an adversary set where it hurts the
+// most.
 package chaos
 
 import (

@@ -1,7 +1,9 @@
-// Package chaos is a deterministic fault-schedule engine for the simulated
-// network: it validates the paper's probabilistic guarantees (Theorems 3.2,
-// 4.2 and 5.2) against *adversarial* schedules rather than the i.i.d. noise
-// the sim package injects.
+// Package chaos is the repo's one write-then-read driver and checker, with
+// a deterministic fault-schedule engine for the simulated network: it
+// validates the paper's probabilistic guarantees (Theorems 3.2, 4.2 and
+// 5.2) both as plain Monte-Carlo trials (an empty or static schedule with
+// Keys = Ops, so every pair is an independent trial on a fresh key) and
+// against *adversarial* schedules.
 //
 // The package has four pieces:
 //

@@ -127,8 +127,9 @@ type Report struct {
 	Transport string      `json:"transport"`
 	Check     CheckResult `json:"check"`
 	// Virtual and SimSeconds report virtual-time runs: the simulated
-	// duration the scenario covered (wall time spent is the caller's to
-	// measure — the run itself never reads the wall clock).
+	// duration the scenario's operations covered, read before the data
+	// plane is torn down so it replays exactly (wall time spent is the
+	// caller's to measure — the run itself never reads the wall clock).
 	Virtual    bool    `json:"virtual,omitempty"`
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
 	// GossipRounds and GossipMerged summarize the diffusion group when
@@ -185,10 +186,6 @@ func Run(cfg Config) (*Report, error) {
 	sc.Run(func() {
 		rep, err = run(cfg, sc)
 	})
-	if rep != nil {
-		rep.Virtual = true
-		rep.SimSeconds = sc.Elapsed().Seconds()
-	}
 	return rep, err
 }
 
@@ -226,9 +223,12 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	switch cfg.Transport {
 	case "", sim.TransportMem:
 		// The chaos engine is the MemNetwork's link hook: message-level
-		// fault injection.
-		eng = NewEngine(cfg.Seed + 0x9E3779B9)
-		cluster.Net.SetLinkHook(eng)
+		// fault injection. It is installed before the first operation, so
+		// its per-link sequence numbers count every call of the run.
+		if cfg.Schedule.hooked() {
+			eng = NewEngine(cfg.Seed + 0x9E3779B9)
+			cluster.Net.SetLinkHook(eng)
+		}
 		if cfg.LatencyMax > 0 {
 			cluster.Net.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
 		}
@@ -237,7 +237,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		// The fault plane is the byte-stream network itself: the schedule's
 		// actions reconfigure it, and every framed chunk consults it.
 		var err error
-		tc, err = sim.NewTCPClusterOpts(cluster, clk, cfg.Seed+0x9E3779B9, sim.TCPClusterOptions{
+		tc, err = sim.NewTCPCluster(cluster, clk, cfg.Seed+0x9E3779B9, sim.TCPClusterOptions{
 			Codec:     cfg.WireCodec,
 			Lifecycle: cfg.Lifecycle,
 		})
@@ -389,6 +389,14 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		seq++
 	}
 	client.WaitDrained()
+	var simSeconds float64
+	if clk != nil {
+		// Read the clock before the deferred data-plane teardown: closing
+		// the virtual TCP plane wakes its pool workers weakly
+		// (vtime.NoteWeakSend), so how many FIN timers fire before the
+		// last worker exits is up to the Go scheduler.
+		simSeconds = clk.Elapsed().Seconds()
+	}
 
 	transportName := cfg.Transport
 	if transportName == "" {
@@ -400,15 +408,17 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		checkCfg.Timed = &TimedBound{N: cfg.System.N(), QW: q, QR: q, Base: cfg.Bound}
 	}
 	rep := &Report{
-		Name:      cfg.Name,
-		Seed:      cfg.Seed,
-		System:    cfg.System.Name(),
-		Mode:      cfg.Mode.String(),
-		Ops:       cfg.Ops,
-		Schedule:  cfg.Schedule.String(),
-		Transport: transportName,
-		History:   hist,
-		Check:     Check(hist, checkCfg),
+		Name:       cfg.Name,
+		Seed:       cfg.Seed,
+		System:     cfg.System.Name(),
+		Mode:       cfg.Mode.String(),
+		Ops:        cfg.Ops,
+		Schedule:   cfg.Schedule.String(),
+		Transport:  transportName,
+		History:    hist,
+		Check:      Check(hist, checkCfg),
+		Virtual:    clk != nil,
+		SimSeconds: simSeconds,
 	}
 	if rt.gossip != nil {
 		rep.GossipRounds = gossipRounds

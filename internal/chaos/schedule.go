@@ -63,7 +63,7 @@ func (s Schedule) String() string {
 // unchanged.
 type runtime struct {
 	cluster *sim.Cluster
-	eng     *Engine         // mem runs; nil under tcp-virtual
+	eng     *Engine         // mem runs whose schedule needs the hook; nil otherwise
 	tcp     *sim.TCPCluster // tcp-virtual runs; nil under mem
 	byID    map[quorum.ServerID]*replica.Replica
 	// clock is the run's time source (the SimClock under Config.Virtual);
@@ -226,6 +226,16 @@ func (rt *runtime) setByteRate(toServer, toClient int64) {
 	}
 }
 
+// setServerLatency pins a server's per-call (mem) or per-chunk
+// (tcp-virtual) latency to exactly lat.
+func (rt *runtime) setServerLatency(id quorum.ServerID, lat time.Duration) {
+	if rt.tcp != nil {
+		rt.tcp.Net.SetServerLatency(id, lat, lat)
+		return
+	}
+	rt.cluster.Net.SetServerLatency(id, lat, lat)
+}
+
 // actionFunc adapts a closure to Action.
 type actionFunc struct {
 	name string
@@ -234,6 +244,27 @@ type actionFunc struct {
 
 func (a actionFunc) apply(rt *runtime) { a.fn(rt) }
 func (a actionFunc) String() string    { return a.name }
+
+// needsHook marks an action that needs the fault engine installed as the
+// MemNetwork's link hook: the link faults (blocks, loss, duplication,
+// corruption, reordering) drive the engine, and SlowDown's sleeping
+// replicas rely on it to keep calls off the issuing goroutine (a hooked
+// network never runs a call inline; see MemNetwork.Register). Run installs
+// the engine only for schedules that carry one of these, so the other runs
+// keep the inline call path.
+type needsHook struct{ actionFunc }
+
+// hooked reports whether any event carries a needsHook action.
+func (s Schedule) hooked() bool {
+	for _, ev := range s {
+		for _, a := range ev.Acts {
+			if _, ok := a.(needsHook); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Crash marks servers crashed (calls fail with ErrCrashed; on the
 // byte-stream plane their connections are reset too).
@@ -301,48 +332,48 @@ func Join(ids ...quorum.ServerID) Action {
 // peers cannot reach them; their own outbound calls still flow) — an
 // asymmetric partition.
 func BlockInbound(ids ...quorum.ServerID) Action {
-	return actionFunc{fmt.Sprintf("block-in%v", ids), func(rt *runtime) {
+	return needsHook{actionFunc{fmt.Sprintf("block-in%v", ids), func(rt *runtime) {
 		for _, id := range ids {
 			rt.block(Any, id)
 		}
-	}}
+	}}}
 }
 
 // BlockLink severs one directed link (from may be transport.ClientSource or
 // Any).
 func BlockLink(from, to quorum.ServerID) Action {
-	return actionFunc{fmt.Sprintf("block(%d->%d)", from, to), func(rt *runtime) {
+	return needsHook{actionFunc{fmt.Sprintf("block(%d->%d)", from, to), func(rt *runtime) {
 		rt.block(from, to)
-	}}
+	}}}
 }
 
 // Heal removes every block and zeroes every link-fault probability.
 func Heal() Action {
-	return actionFunc{"heal", func(rt *runtime) { rt.heal() }}
+	return needsHook{actionFunc{"heal", func(rt *runtime) { rt.heal() }}}
 }
 
 // Drop sets the deterministic per-call (mem) or per-chunk (tcp-virtual)
 // loss probability.
 func Drop(p float64) Action {
-	return actionFunc{fmt.Sprintf("drop(%g)", p), func(rt *runtime) { rt.setDrop(p) }}
+	return needsHook{actionFunc{fmt.Sprintf("drop(%g)", p), func(rt *runtime) { rt.setDrop(p) }}}
 }
 
 // Duplicate sets the per-call duplication probability (no-op over a stream
 // transport; see runtime.setDuplicate).
 func Duplicate(p float64) Action {
-	return actionFunc{fmt.Sprintf("dup(%g)", p), func(rt *runtime) { rt.setDuplicate(p) }}
+	return needsHook{actionFunc{fmt.Sprintf("dup(%g)", p), func(rt *runtime) { rt.setDuplicate(p) }}}
 }
 
 // Corrupt sets the per-call (mem) or per-chunk (tcp-virtual) corruption
 // probability.
 func Corrupt(p float64) Action {
-	return actionFunc{fmt.Sprintf("corrupt(%g)", p), func(rt *runtime) { rt.setCorrupt(p) }}
+	return needsHook{actionFunc{fmt.Sprintf("corrupt(%g)", p), func(rt *runtime) { rt.setCorrupt(p) }}}
 }
 
 // Reorder sets the maximum extra per-call (mem) or per-chunk (tcp-virtual)
 // delivery delay.
 func Reorder(max time.Duration) Action {
-	return actionFunc{fmt.Sprintf("reorder(%v)", max), func(rt *runtime) { rt.setReorder(max) }}
+	return needsHook{actionFunc{fmt.Sprintf("reorder(%v)", max), func(rt *runtime) { rt.setReorder(max) }}}
 }
 
 // ByteRate limits every virtual link to bytesPerSec in both directions
@@ -364,15 +395,28 @@ func ByteRateAsym(toServer, toClient int64) Action {
 	}}
 }
 
+// Straggle pins the listed servers' latency to exactly lat, overriding
+// the run's latency model for them: a slow subset the hedge should route
+// around.
+func Straggle(lat time.Duration, ids ...quorum.ServerID) Action {
+	return actionFunc{fmt.Sprintf("straggle(%v)%v", lat, ids), func(rt *runtime) {
+		for _, id := range ids {
+			rt.setServerLatency(id, lat)
+		}
+	}}
+}
+
 // Behave installs a behavior on the listed replicas (shared instance; use
-// BehaveEach for stateful behaviors).
+// BehaveEach for stateful behaviors). The behavior must not block: a
+// replica that sleeps belongs in SlowDown.
 func Behave(b replica.Behavior, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave%v", ids), func(rt *runtime) {
 		Install(rt.cluster, b, ids...)
 	}}
 }
 
-// BehaveEach installs a freshly built behavior per listed replica.
+// BehaveEach installs a freshly built behavior per listed replica; like
+// Behave's, the behaviors must not block.
 func BehaveEach(mk func(id quorum.ServerID) replica.Behavior, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
 		InstallEach(rt.cluster, mk, ids...)
@@ -399,11 +443,11 @@ func StaleEchoes(ids ...quorum.ServerID) Action {
 // escalating delay, capped at max, slept on the run's clock — virtual
 // under Config.Virtual).
 func SlowDown(step, max time.Duration, ids ...quorum.ServerID) Action {
-	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
+	return needsHook{actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
 		InstallEach(rt.cluster, func(quorum.ServerID) replica.Behavior {
 			return &SlowLorris{Step: step, Max: max, Clock: rt.clock}
 		}, ids...)
-	}}
+	}}}
 }
 
 // Restore resets the listed replicas to correct behavior.

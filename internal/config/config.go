@@ -1,7 +1,6 @@
 // Package config holds the two configuration blocks shared by every harness
 // that drives the register client — the public pqs.ClientConfig, the
-// Monte-Carlo sim.ConsistencyConfig, the adversarial chaos.Config and the
-// population-scale load.Config:
+// write-then-read chaos.Config and the population-scale load.Config:
 //
 //   - Tuning: the access-tuning knobs (straggler tolerance, hedging, early
 //     completion, read repair) that parameterize register.Options.

@@ -298,7 +298,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 		if c.Waves > 0 || c.CrashN > 0 {
 			return nil, errors.New("load: churn and crashes require the mem plane")
 		}
-		tc, err := sim.NewTCPCluster(cluster, sc, c.Seed+0x7C9, 0)
+		tc, err := sim.NewTCPCluster(cluster, sc, c.Seed+0x7C9, sim.TCPClusterOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 		var durs []time.Duration
 		sc.Run(func() {
 			cluster := sim.NewClusterCfg(config.Cluster{N: n, Seed: 7, Clock: sc})
-			tc, err := sim.NewTCPClusterOpts(cluster, sc, 7, sim.TCPClusterOptions{
+			tc, err := sim.NewTCPCluster(cluster, sc, 7, sim.TCPClusterOptions{
 				CallTimeout: 50 * time.Millisecond,
 				Lifecycle:   lc,
 			})

@@ -13,6 +13,17 @@ import (
 	"pqs/internal/ts"
 )
 
+// ConsistencyResult summarizes a diffusion consistency measurement.
+type ConsistencyResult struct {
+	Trials int
+	// Correct counts reads that returned the last written value.
+	Correct int
+	// Stale counts reads that returned an older value or found nothing.
+	Stale int
+	// Rate is the empirical failure probability, 1 - Correct/Trials.
+	Rate float64
+}
+
 // MeasureDiffusionConsistency measures the Section 1.1 claim that a
 // diffusion mechanism drives the effective ε toward zero for updates
 // sufficiently dispersed in time: each trial writes under the benign

@@ -4,133 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"pqs/internal/combin"
 	"pqs/internal/config"
-	"pqs/internal/core"
 	"pqs/internal/quorum"
-	"pqs/internal/register"
 )
 
 // tolerance returns a 5-sigma binomial confidence band around eps.
 func tolerance(eps float64, trials int) float64 {
 	return 5*math.Sqrt(eps*(1-eps)/float64(trials)) + 1e-4
-}
-
-func TestEmpiricalEpsilonBenign(t *testing.T) {
-	// Theorem 3.2: the stale-read rate of the real protocol must match the
-	// exact non-intersection probability of the construction.
-	e, err := core.NewEpsilonIntersecting(36, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := e.Epsilon()
-	if exact < 0.01 || exact > 0.5 {
-		t.Fatalf("test parameters degenerate: exact eps = %v", exact)
-	}
-	trials := 4000
-	res, err := MeasureConsistency(ConsistencyConfig{
-		System: e, Mode: register.Benign, Trials: trials, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fooled != 0 {
-		t.Errorf("benign run reported %d fooled reads", res.Fooled)
-	}
-	if diff := math.Abs(res.Rate - exact); diff > tolerance(exact, trials) {
-		t.Errorf("empirical rate %v vs exact eps %v (diff %v)", res.Rate, exact, diff)
-	}
-}
-
-func TestEmpiricalEpsilonDissemination(t *testing.T) {
-	// Theorem 4.2 with b colluding forgers whose replies cannot verify.
-	n, q, b := 36, 10, 6
-	d, err := core.NewDissemination(n, q, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := d.Epsilon()
-	if exact < 0.005 || exact > 0.5 {
-		t.Fatalf("test parameters degenerate: exact eps = %v", exact)
-	}
-	trials := 4000
-	res, err := MeasureConsistency(ConsistencyConfig{
-		System: d, Mode: register.Dissemination, B: b, Trials: trials, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Self-verifying data: fabrications must never be accepted.
-	if res.Fooled != 0 {
-		t.Errorf("dissemination reads accepted %d forgeries", res.Fooled)
-	}
-	if diff := math.Abs(res.Rate - exact); diff > tolerance(exact, trials) {
-		t.Errorf("empirical rate %v vs exact eps %v (diff %v)", res.Rate, exact, diff)
-	}
-}
-
-func TestEmpiricalEpsilonMasking(t *testing.T) {
-	// Theorem 5.2: the failure rate of the threshold read protocol must
-	// match the exact masking error probability.
-	n, q, b := 36, 18, 3
-	m, err := core.NewMasking(n, q, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := m.Epsilon()
-	if exact < 0.005 || exact > 0.5 {
-		t.Fatalf("test parameters degenerate: exact eps = %v (k=%d)", exact, m.K())
-	}
-	trials := 4000
-	res, err := MeasureConsistency(ConsistencyConfig{
-		System: m, Mode: register.Masking, K: m.K(), B: b, Trials: trials, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(res.Rate - exact); diff > tolerance(exact, trials) {
-		t.Errorf("empirical rate %v vs exact eps %v (diff %v)", res.Rate, exact, diff)
-	}
-	// The threshold makes forged acceptance possible but must be rare; it
-	// is included in the overall rate which we already checked. Accounting:
-	if res.Correct+res.Stale+res.Fooled != res.Trials {
-		t.Errorf("accounting broken: %+v", res)
-	}
-}
-
-func TestMaskingFooledMatchesHypergeometricTail(t *testing.T) {
-	// The fooled fraction alone must match P(|Q∩B| >= k) (forged candidates
-	// carry an overwhelming stamp, so they win exactly when they pass k).
-	n, q, b := 25, 15, 4
-	m, err := core.NewMasking(n, q, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := combin.HypergeomTailGE(n, b, q, m.K())
-	trials := 4000
-	res, err := MeasureConsistency(ConsistencyConfig{
-		System: m, Mode: register.Masking, K: m.K(), B: b, Trials: trials, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fooledRate := float64(res.Fooled) / float64(res.Trials)
-	if diff := math.Abs(fooledRate - exact); diff > tolerance(exact, trials) {
-		t.Errorf("fooled rate %v vs P(X>=k) %v", fooledRate, exact)
-	}
-}
-
-func TestMeasureConsistencyValidation(t *testing.T) {
-	e, _ := core.NewEpsilonIntersecting(10, 3)
-	if _, err := MeasureConsistency(ConsistencyConfig{System: e, Mode: register.Benign}); err == nil {
-		t.Error("zero trials accepted")
-	}
-	if _, err := MeasureConsistency(ConsistencyConfig{Mode: register.Benign, Trials: 1}); err == nil {
-		t.Error("nil system accepted")
-	}
-	if _, err := MeasureConsistency(ConsistencyConfig{System: e, Mode: register.Mode(0), Trials: 1}); err == nil {
-		t.Error("bad mode accepted")
-	}
 }
 
 func TestMeasureLoadUniform(t *testing.T) {
@@ -222,31 +102,6 @@ func TestMeasureAvailabilityValidation(t *testing.T) {
 	}
 	if _, err := MeasureAvailability(u, 0.5, 0, 1); err == nil {
 		t.Error("zero trials accepted")
-	}
-}
-
-func TestConsistencyUnderCrashes(t *testing.T) {
-	sys, err := quorum.NewMajority(15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MeasureConsistencyUnderCrashes(CrashConsistencyConfig{
-		System: sys, CrashP: 0.1, Trials: 300, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Correct+res.Stale+res.Unavailable != res.Trials {
-		t.Errorf("accounting broken: %+v", res)
-	}
-	// Majority quorums with 10% crashes: the overlap server is crashed only
-	// occasionally; failure rate must stay small but the harness must not
-	// report exactly zero information (all trials unavailable would be a bug).
-	if res.Unavailable == res.Trials {
-		t.Errorf("all trials unavailable: %+v", res)
-	}
-	if res.Rate > 0.2 {
-		t.Errorf("failure rate %v implausibly high for majority at p=0.1", res.Rate)
 	}
 }
 

@@ -106,11 +106,7 @@ type LifecycleConfig struct {
 
 // Enabled reports whether any lifecycle feature beyond the legacy
 // single-connection behavior is configured.
-func (c LifecycleConfig) Enabled() bool { return c.active() }
-
-// active reports whether any lifecycle feature beyond the legacy behavior
-// is enabled.
-func (c LifecycleConfig) active() bool {
+func (c LifecycleConfig) Enabled() bool {
 	return c.PoolSize > 1 || c.IdleTimeout > 0 || c.ProbeEvery > 0 ||
 		c.DialBackoffBase > 0 || c.BreakerThreshold > 0
 }

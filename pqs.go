@@ -266,12 +266,12 @@ func NewRegistry() *Registry { return sv.NewRegistry() }
 
 // Tuning is the access-tuning block — Spares, HedgeDelay, AdaptiveHedge,
 // HedgeDeviations, EagerRead, W, ReadRepair — shared by ClientConfig,
-// sim.ConsistencyConfig, chaos.Config and load.Config. See the README
-// section "Configuring access tuning".
+// chaos.Config and load.Config. See the README section "Configuring access
+// tuning".
 type Tuning = config.Tuning
 
 // Topology is the cluster-shape block — Cells, CellVnodes, N, Transport
-// plane, latency model — shared by the same four configs as Tuning. Fields
+// plane, latency model — shared by the same three configs as Tuning. Fields
 // a config cannot honor are documented on that config.
 type Topology = config.Topology
 
