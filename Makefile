@@ -148,11 +148,14 @@ sim-scale:
 	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json -budget 5m -o /dev/null
 
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
-# surface and the virtual byte-stream fault injector, so both fuzz targets
-# actually execute in CI rather than only replaying their seed corpora.
+# surface, the virtual byte-stream fault injector and the ring-view decoder
+# (views are read back from the data plane, where a Byzantine replica can
+# forge one), so all three fuzz targets actually execute in CI rather than
+# only replaying their seed corpora.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
+	$(GO) test -run XXX -fuzz FuzzDecodeView -fuzztime 10s ./internal/ring
 
 # The end-to-end smoke gate: build the real pqsd/pqs-cli binaries, stand a
 # 5-replica cluster up on loopback TCP, write and read through the CLI, kill

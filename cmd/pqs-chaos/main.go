@@ -114,17 +114,8 @@ func buildEpsilonDoc(rep matrixReport) epsilonDoc {
 			// (every cross-PR diff would flag it as a regression).
 			continue
 		}
-		c := sc.Check
-		m := map[string]float64{
-			"epsilon":          c.Epsilon,
-			"eligible_epsilon": c.EligibleEpsilon,
-			"eligible_reads":   float64(c.EligibleReads),
-			"eligible_bad":     float64(c.EligibleBad),
-			"bound":            c.Bound,
-			"p_value":          c.PValue,
-			"pass":             boolMetric(c.Pass),
-			"wall_seconds":     sc.WallSeconds,
-		}
+		m := checkMetrics(sc.Check)
+		m["wall_seconds"] = sc.WallSeconds
 		if sc.Virtual {
 			m["sim_seconds"] = sc.SimSeconds
 			if sc.WallSeconds > 0 {
@@ -138,22 +129,46 @@ func buildEpsilonDoc(rep matrixReport) epsilonDoc {
 		if sc.Deterministic != nil {
 			m["deterministic"] = boolMetric(*sc.Deterministic)
 		}
-		// Multi-cell scenarios carry one ε section per quorum cell: the
-		// checker enforces the theorem bound per cell (a hot cell fails the
-		// run even when the global average passes), and the trend document
-		// records each cell's measured ε so a cell-local drift is visible
-		// across PRs.
-		for _, cell := range c.Cells {
-			p := fmt.Sprintf("cell_%d_", cell.Cell)
-			m[p+"epsilon"] = cell.EligibleEpsilon
-			m[p+"eligible_reads"] = float64(cell.EligibleReads)
-			m[p+"eligible_bad"] = float64(cell.EligibleBad)
-			m[p+"p_value"] = cell.PValue
-			m[p+"pass"] = boolMetric(cell.Pass)
-		}
 		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: sc.Name, Transport: sc.Transport, Metrics: m})
 	}
 	return doc
+}
+
+// checkMetrics flattens a checker verdict into trend-document metrics, the
+// same keys for chaos scenarios and load scale points: ε against its bound,
+// the eligible-read test, the timed verdict, the staleness depths, and one
+// ε section per quorum cell. The checker enforces the theorem bound per
+// cell (a hot cell fails the run even when the global average passes), so
+// the document records each cell's measured ε to make a cell-local drift
+// visible across PRs.
+func checkMetrics(c chaos.CheckResult) map[string]float64 {
+	m := map[string]float64{
+		"epsilon":          c.Epsilon,
+		"eligible_epsilon": c.EligibleEpsilon,
+		"eligible_reads":   float64(c.EligibleReads),
+		"eligible_bad":     float64(c.EligibleBad),
+		"bound":            c.Bound,
+		"p_value":          c.PValue,
+		"pass":             boolMetric(c.Pass),
+	}
+	if c.Timed != nil {
+		m["timed_p_value"] = c.Timed.PValue
+		m["timed_max_bound"] = c.Timed.MaxBound
+		m["timed_pass"] = boolMetric(c.Timed.Pass)
+		m["timed_depth_buckets"] = float64(len(c.Timed.Groups))
+	}
+	for d, cnt := range c.StaleDepth {
+		m[fmt.Sprintf("stale_depth_%d", d)] = float64(cnt)
+	}
+	for _, cell := range c.Cells {
+		p := fmt.Sprintf("cell_%d_", cell.Cell)
+		m[p+"epsilon"] = cell.EligibleEpsilon
+		m[p+"eligible_reads"] = float64(cell.EligibleReads)
+		m[p+"eligible_bad"] = float64(cell.EligibleBad)
+		m[p+"p_value"] = cell.PValue
+		m[p+"pass"] = boolMetric(cell.Pass)
+	}
+	return m
 }
 
 func boolMetric(b bool) float64 {
@@ -555,8 +570,8 @@ func runLoadMatrix(seed int64, match string, negative, verifyDet, epsJSON bool, 
 }
 
 // buildLoadEpsilonDoc flattens the scale matrix into the same trend-doc
-// layout the chaos matrix uses, one entry per scale point: ε against its
-// bound, the timed verdict, staleness depth mass, and the tail.
+// layout the chaos matrix uses, one entry per scale point: the checker
+// metrics, the shape of the point, and the tail.
 func buildLoadEpsilonDoc(rep loadMatrixReport) epsilonDoc {
 	doc := epsilonDoc{Context: map[string]any{
 		"goos":   runtime.GOOS,
@@ -569,20 +584,15 @@ func buildLoadEpsilonDoc(rep loadMatrixReport) epsilonDoc {
 		if sc.Expected == "fail" {
 			continue
 		}
-		m := map[string]float64{
-			"epsilon":      sc.Epsilon,
-			"bound":        sc.Bound,
-			"p_value":      sc.PValue,
-			"pass":         boolMetric(sc.Pass),
-			"n":            float64(sc.N),
-			"q":            float64(sc.Q),
-			"clients":      float64(sc.Clients),
-			"ops":          float64(sc.Ops),
-			"reads":        float64(sc.Reads),
-			"stale":        float64(sc.Stale),
-			"sim_seconds":  sc.SimSeconds,
-			"wall_seconds": sc.WallSeconds,
-		}
+		m := checkMetrics(sc.CheckResult)
+		m["n"] = float64(sc.N)
+		m["q"] = float64(sc.Q)
+		m["clients"] = float64(sc.Clients)
+		m["ops"] = float64(sc.Ops)
+		m["reads"] = float64(sc.Reads)
+		m["stale"] = float64(sc.Stale)
+		m["sim_seconds"] = sc.SimSeconds
+		m["wall_seconds"] = sc.WallSeconds
 		if sc.LatencyOps > 0 {
 			m["p50_ms"] = sc.P50Ms
 			m["p99_ms"] = sc.P99Ms
@@ -590,17 +600,6 @@ func buildLoadEpsilonDoc(rep loadMatrixReport) epsilonDoc {
 		}
 		if sc.Departures > 0 {
 			m["departures"] = float64(sc.Departures)
-		}
-		if sc.Timed != nil {
-			m["timed_p_value"] = sc.Timed.PValue
-			m["timed_max_bound"] = sc.Timed.MaxBound
-			m["timed_pass"] = boolMetric(sc.Timed.Pass)
-			m["timed_depth_buckets"] = float64(len(sc.Timed.Groups))
-		}
-		for d, cnt := range sc.StaleDepth {
-			if cnt > 0 {
-				m[fmt.Sprintf("stale_depth_%d", d+1)] = float64(cnt)
-			}
 		}
 		if sc.Deterministic != nil {
 			m["deterministic"] = boolMetric(*sc.Deterministic)

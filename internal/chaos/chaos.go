@@ -22,6 +22,11 @@
 //     and hands it to the consistency checker (history.go), which computes
 //     an empirical ε and a PBS-style staleness distribution and fails when
 //     ε exceeds the configured theorem bound at the configured confidence.
+//     The checker also has a streaming form, Checker (NewChecker, Observe,
+//     Result), which Check is a loop over; the population-scale load
+//     generator (internal/load) feeds its counting phase through one, so
+//     both harnesses are judged by the same classification, eligibility
+//     rule, per-cell sections and timed ε(D) verdict.
 //
 // Determinism contract: operations are issued sequentially, every random
 // choice (quorum sampling, fault decisions, adversary replies) is derived

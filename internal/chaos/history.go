@@ -280,119 +280,148 @@ type writeRec struct {
 }
 
 // Check classifies every read in h against the writes that preceded it and
-// tests the empirical ε against cfg.Bound at confidence cfg.Alpha.
+// tests the empirical ε against cfg.Bound at confidence cfg.Alpha: a
+// Checker fed the whole history in order.
 func Check(h History, cfg CheckConfig) CheckResult {
+	c := NewChecker(cfg)
+	for _, op := range h {
+		c.Observe(op)
+	}
+	return c.Result()
+}
+
+// Checker is the streaming form of Check, for harnesses that judge more
+// operations than they would want to hold as a History (the population-
+// scale load generator feeds its counting phase through one). Operations
+// on one key must arrive in issue order; operations on different keys may
+// interleave freely, since every per-key record is independent and every
+// aggregate is a sum. A Checker is not safe for concurrent use.
+type Checker struct {
+	cfg       CheckConfig
+	res       CheckResult
+	writes    map[string][]writeRec
+	completed map[string]int    // completed-write count per key
+	lastView  map[string]uint64 // view of each key's latest write attempt (Timed only)
+	timed     map[int]*TimedGroup
+	cells     []CellResult
+}
+
+// NewChecker returns an empty Checker judging against cfg.
+func NewChecker(cfg CheckConfig) *Checker {
 	if cfg.Alpha == 0 {
 		cfg.Alpha = DefaultAlpha
 	}
 	if cfg.Bound == 0 {
 		cfg.Bound = 1
 	}
-	res := CheckResult{StaleDepth: make(map[int]int), Bound: cfg.Bound}
-	writes := make(map[string][]writeRec)
-	completed := make(map[string]int) // completed-write count per key
-	var lastView map[string]uint64    // view of each key's latest write attempt
-	var timedGroups map[int]*TimedGroup
+	c := &Checker{
+		cfg:       cfg,
+		res:       CheckResult{StaleDepth: make(map[int]int), Bound: cfg.Bound},
+		writes:    make(map[string][]writeRec),
+		completed: make(map[string]int),
+	}
 	if cfg.Timed != nil {
-		lastView = make(map[string]uint64)
-		timedGroups = make(map[int]*TimedGroup)
+		c.lastView = make(map[string]uint64)
+		c.timed = make(map[int]*TimedGroup)
 	}
-	var cells []CellResult
 	if cfg.Cells > 1 {
-		cells = make([]CellResult, cfg.Cells)
-		for i := range cells {
-			cells[i] = CellResult{Cell: i, Bound: cfg.Bound}
+		c.cells = make([]CellResult, cfg.Cells)
+		for i := range c.cells {
+			c.cells[i] = CellResult{Cell: i, Bound: cfg.Bound}
 		}
 	}
-	// perCell resolves an op's cell section, tolerating out-of-range ids
-	// (a malformed history) by dropping the attribution rather than
-	// panicking mid-check.
-	perCell := func(op Op) *CellResult {
-		if cells == nil || op.Cell < 0 || op.Cell >= len(cells) {
-			return nil
-		}
-		return &cells[op.Cell]
-	}
+	return c
+}
 
-	for _, op := range h {
-		switch op.Kind {
-		case OpWrite:
-			rec := writeRec{value: op.Value, stamp: op.Stamp, completed: op.Err == "", full: op.Err == "" && op.Full}
-			writes[op.Key] = append(writes[op.Key], rec)
-			if rec.completed {
-				completed[op.Key]++
+// cellOf resolves an op's cell section, tolerating out-of-range ids (a
+// malformed history) by dropping the attribution rather than panicking
+// mid-check.
+func (c *Checker) cellOf(op Op) *CellResult {
+	if c.cells == nil || op.Cell < 0 || op.Cell >= len(c.cells) {
+		return nil
+	}
+	return &c.cells[op.Cell]
+}
+
+// Observe records one operation: a write extends its key's record, a read
+// is classified against it.
+func (c *Checker) Observe(op Op) {
+	res := &c.res
+	switch op.Kind {
+	case OpWrite:
+		rec := writeRec{value: op.Value, stamp: op.Stamp, completed: op.Err == "", full: op.Err == "" && op.Full}
+		c.writes[op.Key] = append(c.writes[op.Key], rec)
+		if rec.completed {
+			c.completed[op.Key]++
+		}
+		if c.lastView != nil {
+			c.lastView[op.Key] = op.View
+		}
+	case OpRead:
+		res.Reads++
+		cell := c.cellOf(op)
+		if cell != nil {
+			cell.Reads++
+		}
+		ws := c.writes[op.Key]
+		// Reads before any write trivially satisfy the premise.
+		eligible := len(ws) == 0 || ws[len(ws)-1].full
+		class, depth := classifyRead(op, ws, c.completed[op.Key])
+		switch class {
+		case readUnavailable:
+			res.Unavailable++ // errored reads carry no consistency verdict
+			return
+		case readCorrect:
+			res.Correct++
+		case readStale:
+			res.Stale++
+			res.StaleDepth[depth]++
+		case readFooled:
+			res.Fooled++
+			if c.cfg.Mode != register.Masking {
+				res.Violations = append(res.Violations, fmt.Sprintf(
+					"op #%d: %s mode read of %q returned fabricated pair (%q, %v)",
+					op.Seq, c.cfg.Mode, op.Key, op.Value, op.Stamp))
 			}
-			if lastView != nil {
-				lastView[op.Key] = op.View
+		}
+		if !eligible {
+			return
+		}
+		bad := class != readCorrect
+		res.EligibleReads++
+		if bad {
+			res.EligibleBad++
+		}
+		if cell != nil {
+			cell.EligibleReads++
+			if bad {
+				cell.EligibleBad++
 			}
-		case OpRead:
-			res.Reads++
-			cell := perCell(op)
-			if cell != nil {
-				cell.Reads++
+		}
+		if c.timed != nil {
+			d := 0
+			if lv := c.lastView[op.Key]; op.View > lv {
+				d = int(op.View - lv)
 			}
-			eligible := false
-			if ws := writes[op.Key]; len(ws) > 0 {
-				last := ws[len(ws)-1]
-				eligible = last.completed && last.full
-			} else {
-				eligible = true // reads before any write trivially satisfy the premise
+			tg := c.timed[d]
+			if tg == nil {
+				tg = &TimedGroup{Departures: d}
+				c.timed[d] = tg
 			}
-			if eligible {
-				res.EligibleReads++
-				if cell != nil {
-					cell.EligibleReads++
-				}
-			}
-			class, depth := classifyRead(op, writes[op.Key], completed[op.Key])
-			switch class {
-			case readUnavailable:
-				res.Unavailable++
-				if eligible {
-					res.EligibleReads-- // errored reads carry no consistency verdict
-					if cell != nil {
-						cell.EligibleReads--
-					}
-				}
-				continue
-			case readCorrect:
-				res.Correct++
-			case readStale:
-				res.Stale++
-				res.StaleDepth[depth]++
-			case readFooled:
-				res.Fooled++
-				if cfg.Mode != register.Masking {
-					res.Violations = append(res.Violations, fmt.Sprintf(
-						"op #%d: %s mode read of %q returned fabricated pair (%q, %v)",
-						op.Seq, cfg.Mode, op.Key, op.Value, op.Stamp))
-				}
-			}
-			if eligible {
-				if class != readCorrect {
-					res.EligibleBad++
-					if cell != nil {
-						cell.EligibleBad++
-					}
-				}
-				if timedGroups != nil {
-					d := 0
-					if lv := lastView[op.Key]; op.View > lv {
-						d = int(op.View - lv)
-					}
-					tg := timedGroups[d]
-					if tg == nil {
-						tg = &TimedGroup{Departures: d}
-						timedGroups[d] = tg
-					}
-					tg.Reads++
-					if class != readCorrect {
-						tg.Bad++
-					}
-				}
+			tg.Reads++
+			if bad {
+				tg.Bad++
 			}
 		}
 	}
+}
+
+// Result returns the verdict over every operation observed. The result
+// shares its maps and slices with the Checker, so call it once the stream
+// has ended.
+func (c *Checker) Result() CheckResult {
+	cfg := c.cfg
+	res := c.res
 	if cl := res.Correct + res.Stale + res.Fooled; cl > 0 {
 		res.Epsilon = float64(res.Stale+res.Fooled) / float64(cl)
 	}
@@ -405,38 +434,38 @@ func Check(h History, cfg CheckConfig) CheckResult {
 	}
 	res.Pass = len(res.Violations) == 0 && res.PValue >= cfg.Alpha
 	if cfg.Timed != nil {
-		gs := make([]TimedGroup, 0, len(timedGroups))
-		for _, g := range timedGroups {
+		gs := make([]TimedGroup, 0, len(c.timed))
+		for _, g := range c.timed {
 			gs = append(gs, *g)
 		}
-		res.Timed = EvaluateTimed(gs, *cfg.Timed, cfg.Alpha)
+		res.Timed = evaluateTimed(gs, *cfg.Timed, cfg.Alpha)
 		// Under churn the flat bound is the wrong null hypothesis — the
 		// timed verdict replaces it (violations and per-cell sections still
 		// veto below).
 		res.Pass = len(res.Violations) == 0 && res.Timed.Pass
 	}
-	for i := range cells {
-		c := &cells[i]
-		if c.EligibleReads > 0 {
-			c.EligibleEpsilon = float64(c.EligibleBad) / float64(c.EligibleReads)
+	res.Cells = c.cells
+	for i := range res.Cells {
+		cr := &res.Cells[i]
+		if cr.EligibleReads > 0 {
+			cr.EligibleEpsilon = float64(cr.EligibleBad) / float64(cr.EligibleReads)
 		}
-		c.PValue = 1
-		if c.EligibleBad > 0 && cfg.Bound < 1 {
-			c.PValue = combin.BinomialTailGE(c.EligibleReads, cfg.Bound, c.EligibleBad)
+		cr.PValue = 1
+		if cr.EligibleBad > 0 && cfg.Bound < 1 {
+			cr.PValue = combin.BinomialTailGE(cr.EligibleReads, cfg.Bound, cr.EligibleBad)
 		}
-		c.Pass = c.PValue >= cfg.Alpha
-		if !c.Pass {
+		cr.Pass = cr.PValue >= cfg.Alpha
+		if !cr.Pass {
 			res.Pass = false
 		}
 	}
-	res.Cells = cells
 	return res
 }
 
 // TimedGroup is one churn-depth bucket of the timed-quorum test: Reads
 // eligible reads issued D membership departures after their key's latest
 // write, of which Bad were stale or fooled, allowed the per-read bound
-// Bound (filled in by EvaluateTimed).
+// Bound (filled in by evaluateTimed).
 type TimedGroup struct {
 	Departures int     `json:"departures"`
 	Reads      int     `json:"reads"`
@@ -460,16 +489,11 @@ type TimedResult struct {
 	Pass bool `json:"pass"`
 }
 
-// EvaluateTimed computes each bucket's time-decayed bound and tests the
-// total bad count against the sum of bucket binomials at confidence alpha
-// (0 = DefaultAlpha). Buckets arrive with Departures/Reads/Bad set; the
-// input slice is sorted and its bounds filled in place. Exported because
-// the load generator (internal/load) runs the same verdict over its own
-// depth buckets without materializing a History.
-func EvaluateTimed(groups []TimedGroup, tb TimedBound, alpha float64) *TimedResult {
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
+// evaluateTimed computes each bucket's time-decayed bound and tests the
+// total bad count against the sum of bucket binomials at confidence alpha.
+// Buckets arrive with Departures/Reads/Bad set; the input slice is sorted
+// and its bounds filled in place.
+func evaluateTimed(groups []TimedGroup, tb TimedBound, alpha float64) *TimedResult {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Departures < groups[j].Departures })
 	base0 := combin.TimedEpsilon(tb.N, tb.QW, tb.QR, 0)
 	res := &TimedResult{Groups: groups, PValue: 1}

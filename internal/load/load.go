@@ -36,12 +36,19 @@
 // (GossipWaveRounds targeted gossip steps), exactly how a real deployment
 // brings a fresh server up. Clients stamp every operation with the view
 // they currently observe (the engine mirrors the advertised version in an
-// atomic, as a deployment would cache its last-seen membership), and the
-// checker buckets reads by view distance D and applies the time-decayed
-// Gramoli-Raynal bound ε(D) via chaos.EvaluateTimed. Config.ViewBlind
-// (the negative configuration) breaks exactly this link — ops stamp view
-// 0 while churn still destroys copies — and must fail the timed gate,
-// proving it has teeth.
+// atomic, as a deployment would cache its last-seen membership).
+// Config.ViewBlind (the negative configuration) breaks exactly this link —
+// ops stamp view 0 while churn still destroys copies — and must fail the
+// timed gate, proving it has teeth.
+//
+// The verdict comes from the chaos harness's own checker: every counting-
+// phase operation is fed, as it completes, into one chaos.Checker, which
+// classifies reads against regular-register semantics, keeps reads that
+// follow a partially acknowledged write out of the bound test, keeps
+// per-cell sections in a multi-cell run, and — with Config.Timed — buckets
+// reads by view distance D and applies the time-decayed Gramoli-Raynal
+// bound ε(D). The churn advertiser, the fresh read-back and the latency
+// phase are not judged.
 package load
 
 import (
@@ -53,11 +60,11 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"pqs/internal/chaos"
-	"pqs/internal/combin"
 	"pqs/internal/config"
 	"pqs/internal/diffusion"
 	"pqs/internal/quorum"
@@ -118,22 +125,23 @@ type Config struct {
 	// Seed fixes every random choice. Equal Configs produce equal Results
 	// (Result.Digest is the replay contract).
 	Seed int64
-	// Bound is the flat per-read ε bound (a system's EpsilonBound); Alpha
-	// the checker confidence (default chaos.DefaultAlpha).
+	// Bound is the flat per-read ε bound (a system's EpsilonBound) and
+	// Alpha the confidence (default chaos.DefaultAlpha) of the
+	// chaos.Checker that judges the counting phase.
 	Bound float64
 	Alpha float64
 
 	// Waves and WaveSize configure churn: Waves replacement waves, evenly
 	// spaced over the run (at off-grid +1ns instants), each replacing
 	// WaveSize servers (round-robin over the universe) with empty
-	// replicas.
+	// replicas. Neither may be negative.
 	Waves    int
 	WaveSize int
 	// CrashN, when positive, crashes the CrashN highest-numbered servers
 	// (which the churn rotation never touches) a third into the run and
 	// recovers them at two thirds — fail-stop pressure on top of churn.
 	// Crashes are not departures: the stores survive, so the view counter
-	// does not move.
+	// does not move. CrashN must lie in [0, System.N()).
 	CrashN int
 	// GossipWaveRounds, when positive, runs that many rejoin anti-entropy
 	// rounds after each churn wave: only the freshly replaced servers step
@@ -145,8 +153,9 @@ type Config struct {
 	// advertisement itself always goes through the data plane's quorum
 	// write regardless.
 	GossipWaveRounds int
-	// Timed enables the time-decayed verdict (chaos.EvaluateTimed over the
-	// per-depth read buckets) instead of the flat bound test.
+	// Timed makes the chaos.Checker decide Pass by its time-decayed
+	// verdict over the per-depth read buckets (chaos.CheckConfig.Timed)
+	// instead of the flat bound test.
 	Timed bool
 	// ViewBlind is the negative knob: ops are stamped with view 0 while
 	// churn still destroys copies. A Timed run with ViewBlind set must
@@ -170,23 +179,17 @@ type Result struct {
 	Clients   int    `json:"clients"`
 	Transport string `json:"transport"`
 
-	// Ops is the grand total (counting + latency phases); the remaining
-	// counters cover the counting phase, whose reads the ε gate judges.
-	Ops         int `json:"ops"`
-	Writes      int `json:"writes"`
-	Reads       int `json:"reads"`
-	Correct     int `json:"correct"`
-	Stale       int `json:"stale"`
-	Unavailable int `json:"unavailable,omitempty"`
-	WriteErrs   int `json:"write_errs,omitempty"`
+	// CheckResult is the chaos.Checker's verdict over the counting
+	// phase: read classes, ε, the eligible-read bound test, the staleness
+	// depths, the timed verdict (Config.Timed), per-cell sections
+	// (Topology.Cells > 1) and Pass.
+	chaos.CheckResult
 
-	// Epsilon is the empirical per-read miss rate over eligible reads
-	// (reads that got an answer), tested against Bound.
-	Epsilon float64 `json:"epsilon"`
-	Bound   float64 `json:"bound"`
-	// PValue is the flat binomial gate; with Timed set the timed verdict
-	// below decides Pass instead and PValue is informational.
-	PValue float64 `json:"p_value"`
+	// Ops is the grand total (counting + latency phases); Writes and
+	// WriteErrs cover the counting phase.
+	Ops       int `json:"ops"`
+	Writes    int `json:"writes"`
+	WriteErrs int `json:"write_errs,omitempty"`
 
 	// Departures is the total number of copy-destroying replacements;
 	// MemberView the final view-counter value; AdvertisedView what a
@@ -196,14 +199,6 @@ type Result struct {
 	Departures     int    `json:"departures,omitempty"`
 	MemberView     uint64 `json:"member_view,omitempty"`
 	AdvertisedView uint64 `json:"advertised_view,omitempty"`
-
-	// Timed is the time-decayed verdict (present when Config.Timed).
-	Timed *chaos.TimedResult `json:"timed,omitempty"`
-
-	// StaleDepth[d-1] counts stale reads that were d writes behind the
-	// freshest value (the PBS staleness-depth distribution); the last
-	// bucket absorbs deeper misses.
-	StaleDepth []int `json:"stale_depth,omitempty"`
 
 	// Latency-phase percentiles, in milliseconds of virtual time.
 	LatencyOps int     `json:"latency_ops,omitempty"`
@@ -218,11 +213,7 @@ type Result struct {
 	// included.
 	SimSeconds float64 `json:"sim_seconds"`
 	Digest     string  `json:"digest"`
-	Pass       bool    `json:"pass"`
 }
-
-// staleDepthCap is the histogram size; the last bucket absorbs deeper.
-const staleDepthCap = 16
 
 // Run executes one load configuration under a fresh SimClock and returns
 // its scale-point record. Deterministic: equal cfg, equal *Result.
@@ -247,6 +238,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.ReadLag >= cfg.Keys {
 		return nil, fmt.Errorf("load: ReadLag %d must be below Keys %d", cfg.ReadLag, cfg.Keys)
+	}
+	if cfg.Waves < 0 || cfg.WaveSize < 0 {
+		return nil, fmt.Errorf("load: Waves %d and WaveSize %d must be non-negative", cfg.Waves, cfg.WaveSize)
+	}
+	if n := cfg.System.N(); cfg.CrashN < 0 || cfg.CrashN >= n {
+		return nil, fmt.Errorf("load: CrashN %d must lie in [0, %d)", cfg.CrashN, n)
 	}
 	if cfg.Alpha == 0 {
 		cfg.Alpha = chaos.DefaultAlpha
@@ -275,6 +272,11 @@ type engine struct {
 	churnSpan int
 	total     int
 	departed  int
+	// chk judges every counting-phase client operation; chkMu serializes
+	// same-instant clients, whose keyspaces are disjoint, so the order
+	// they reach the checker in cannot change its verdict.
+	chkMu sync.Mutex
+	chk   *chaos.Checker
 }
 
 type cfg = Config
@@ -286,6 +288,11 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	total := len(cluster.Replicas)
 
 	e := &engine{cfg: c, sc: sc, net: cluster.Net, total: total}
+	chkCfg := chaos.CheckConfig{Mode: register.Benign, Bound: c.Bound, Alpha: c.Alpha, Cells: c.Topology.Cells}
+	if c.Timed {
+		chkCfg.Timed = &chaos.TimedBound{N: n, QW: q, QR: q, Base: c.Bound}
+	}
+	e.chk = chaos.NewChecker(chkCfg)
 	e.churnSpan = total - c.CrashN
 	e.horizon = time.Duration(c.Arrivals) * c.Arrival
 
@@ -378,7 +385,6 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 		}
 	}
 
-	e.verdict(res)
 	// Read the clock before the deferred data-plane teardown: closing the
 	// virtual TCP plane wakes its pool workers weakly (vtime.NoteWeakSend),
 	// so how many FIN timers fire before the last worker exits is up to
@@ -388,9 +394,9 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 }
 
 // clientState is one simulated client's private world: its own register
-// client, rng, per-key write records and result counters. Clients share
-// only the replicas (on disjoint keys) and the view counter, so the
-// interleaving of same-instant arrivals cannot change any outcome.
+// client, rng, per-key write records and write counters. Clients share
+// only the replicas (on disjoint keys), the view counter and the checker,
+// so the interleaving of same-instant arrivals cannot change any outcome.
 type clientState struct {
 	id   int
 	rng  *rand.Rand
@@ -401,12 +407,8 @@ type clientState struct {
 	ctr    []int
 	viewAt []uint64
 
-	writes, reads          int
-	correct, stale         int
-	unavailable, writeErrs int
-	depth                  [staleDepthCap]int
-	groups                 map[int]*chaos.TimedGroup
-	digest                 uint64
+	writes, writeErrs int
+	digest            uint64
 }
 
 // newClient builds a register client for this engine's plane. Counting
@@ -449,7 +451,6 @@ func (e *engine) newClientState(i int) (*clientState, error) {
 		keys:   make([]string, e.cfg.Keys),
 		ctr:    make([]int, e.cfg.Keys),
 		viewAt: make([]uint64, e.cfg.Keys),
-		groups: map[int]*chaos.TimedGroup{},
 		digest: 14695981039346656037, // FNV-64a offset basis
 	}
 	for k := range cs.keys {
@@ -518,13 +519,30 @@ func (e *engine) clientLoop(c *clientState) {
 	}
 }
 
+// observe hands one counting-phase operation to the checker.
+func (e *engine) observe(op chaos.Op, err error) {
+	if err != nil {
+		op.Err = err.Error()
+	}
+	e.chkMu.Lock()
+	e.chk.Observe(op)
+	e.chkMu.Unlock()
+}
+
 func (e *engine) doWrite(c *clientState, k int) {
 	c.ctr[k]++
 	c.viewAt[k] = e.curView()
-	val := []byte(strconv.Itoa(c.ctr[k]))
-	if _, err := c.cl.Write(context.Background(), c.keys[k], val); err != nil {
+	val := strconv.Itoa(c.ctr[k])
+	key := c.keys[k]
+	wr, err := c.cl.Write(context.Background(), key, []byte(val))
+	if err != nil {
 		c.writeErrs++
 	}
+	e.observe(chaos.Op{
+		Kind: chaos.OpWrite, Key: key, Value: val, Stamp: wr.Stamp,
+		Full: len(wr.Acked) == len(wr.Quorum),
+		Cell: c.cl.CellFor(key), View: c.viewAt[k],
+	}, err)
 	c.writes++
 	c.mix(1)
 	c.mix(uint64(k))
@@ -534,40 +552,26 @@ func (e *engine) doWrite(c *clientState, k int) {
 
 func (e *engine) doRead(c *clientState, k int) {
 	view := e.curView()
-	rr, err := c.cl.Read(context.Background(), c.keys[k])
-	c.reads++
-	exp := c.ctr[k]
-	var got int
-	switch {
-	case err != nil:
-		c.unavailable++
+	key := c.keys[k]
+	rr, err := c.cl.Read(context.Background(), key)
+	e.observe(chaos.Op{
+		Kind: chaos.OpRead, Key: key, Value: string(rr.Value), Stamp: rr.Stamp,
+		Found: rr.Found, Cell: c.cl.CellFor(key), View: view,
+	}, err)
+	if err != nil {
 		c.mix(2)
 		c.mix(uint64(k))
 		c.mix(^uint64(0))
 		return
-	case rr.Found:
+	}
+	exp := c.ctr[k]
+	var got int
+	if rr.Found {
 		got, _ = strconv.Atoi(string(rr.Value))
 	}
 	d := 0
 	if view > c.viewAt[k] {
 		d = int(view - c.viewAt[k])
-	}
-	g := c.groups[d]
-	if g == nil {
-		g = &chaos.TimedGroup{Departures: d}
-		c.groups[d] = g
-	}
-	g.Reads++
-	if got >= exp {
-		c.correct++
-	} else {
-		c.stale++
-		g.Bad++
-		depth := exp - got
-		if depth > staleDepthCap {
-			depth = staleDepthCap
-		}
-		c.depth[depth-1]++
 	}
 	c.mix(2)
 	c.mix(uint64(k))
@@ -639,54 +643,25 @@ func (e *engine) crashLoop() {
 	}
 }
 
-// collect folds the per-client records, in client order, into the Result.
+// collect folds the per-client records, in client order, into the Result
+// and takes the checker's verdict over the counting phase.
 func (e *engine) collect(clients []*clientState, n, q int) *Result {
 	res := &Result{
 		Name: e.cfg.Name, Seed: e.cfg.Seed, N: n, Q: q,
 		Clients: e.cfg.Clients, Transport: e.planeName(),
-		Bound:      e.cfg.Bound,
-		Departures: e.departed,
-		MemberView: e.view.Load(),
-		StaleDepth: make([]int, staleDepthCap),
+		CheckResult: e.chk.Result(),
+		Departures:  e.departed,
+		MemberView:  e.view.Load(),
 	}
-	groups := map[int]*chaos.TimedGroup{}
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, c := range clients {
 		res.Writes += c.writes
-		res.Reads += c.reads
-		res.Correct += c.correct
-		res.Stale += c.stale
-		res.Unavailable += c.unavailable
 		res.WriteErrs += c.writeErrs
-		for d, g := range c.groups {
-			t := groups[d]
-			if t == nil {
-				t = &chaos.TimedGroup{Departures: d}
-				groups[d] = t
-			}
-			t.Reads += g.Reads
-			t.Bad += g.Bad
-		}
-		for i, v := range c.depth {
-			res.StaleDepth[i] += v
-		}
 		binary.BigEndian.PutUint64(buf[:], c.digest)
 		h.Write(buf[:])
 	}
 	res.Ops = res.Writes + res.Reads
-	eligible := res.Reads - res.Unavailable
-	if eligible > 0 {
-		res.Epsilon = float64(res.Stale) / float64(eligible)
-	}
-	if e.cfg.Timed {
-		gs := make([]chaos.TimedGroup, 0, len(groups))
-		for _, g := range groups {
-			gs = append(gs, *g)
-		}
-		sort.Slice(gs, func(i, j int) bool { return gs[i].Departures < gs[j].Departures })
-		res.Timed = chaos.EvaluateTimed(gs, chaos.TimedBound{N: n, QW: q, QR: q, Base: e.cfg.Bound}, e.cfg.Alpha)
-	}
 	res.Digest = fmt.Sprintf("%016x", h.Sum64())
 	return res
 }
@@ -749,28 +724,4 @@ func quantileMs(sorted []time.Duration, num, den int) float64 {
 		i = len(sorted) - 1
 	}
 	return float64(sorted[i]) / float64(time.Millisecond)
-}
-
-// verdict applies the gate: the timed verdict when Config.Timed, else the
-// flat binomial bound test (same statistic as the chaos checker's).
-func (e *engine) verdict(res *Result) {
-	eligible := res.Reads - res.Unavailable
-	if eligible <= 0 {
-		res.Pass = false
-		return
-	}
-	res.PValue = 1
-	if res.Stale > 0 {
-		res.PValue = combinTail(eligible, e.cfg.Bound, res.Stale)
-	}
-	if res.Timed != nil {
-		res.Pass = res.Timed.Pass
-		return
-	}
-	res.Pass = res.PValue >= e.cfg.Alpha
-}
-
-// combinTail is P(Binomial(m, p) >= k) — the flat gate statistic.
-func combinTail(m int, p float64, k int) float64 {
-	return combin.GroupedBinomialTailGE([]int{m}, []float64{p}, k)
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -49,6 +50,109 @@ func TestLoadSteadySmoke(t *testing.T) {
 	}
 	t.Logf("steady: ops=%d ε=%.5f (bound %.4g, p=%.3g) p50=%.2fms p99=%.2fms p999=%.2fms digest=%s sim=%.3fs",
 		res.Ops, res.Epsilon, res.Bound, res.PValue, res.P50Ms, res.P99Ms, res.P999Ms, res.Digest, res.SimSeconds)
+}
+
+// TestLoadEpsilonCalibrated is the two-sided calibration gate on a
+// fault-free pair-mode point: each lagged read samples its quorum
+// independently of the one its key was written to, so the measured ε must
+// lie within 5σ of the exact non-intersection probability on either side
+// — a harness that under-counts staleness fails as surely as one that
+// over-counts it.
+func TestLoadEpsilonCalibrated(t *testing.T) {
+	cfg := smokeConfig(t, 11)
+	cfg.Arrivals = 50
+	cfg.LatencyOps = 0
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unavailable != 0 || res.WriteErrs != 0 {
+		t.Fatalf("fault-free run had %d unavailable reads and %d write errors", res.Unavailable, res.WriteErrs)
+	}
+	if res.EligibleReads != res.Reads {
+		t.Fatalf("fault-free run judged %d of %d reads: every write should be full", res.EligibleReads, res.Reads)
+	}
+	exact := cfg.System.(*core.EpsilonIntersecting).Epsilon()
+	tol := 5*math.Sqrt(exact*(1-exact)/float64(res.Reads)) + 1e-4
+	if diff := math.Abs(res.Epsilon - exact); diff > tol {
+		t.Errorf("measured ε %.5f vs exact ε %.5f over %d reads: |diff| %.5f outside the 5σ band %.5f",
+			res.Epsilon, exact, res.Reads, diff, tol)
+	}
+	t.Logf("ε=%.5f exact=%.5f reads=%d band=%.5f", res.Epsilon, exact, res.Reads, tol)
+}
+
+// TestLoadCellSections: a multi-cell run carries the checker's per-cell
+// sections, each judged against the bound on its own reads.
+func TestLoadCellSections(t *testing.T) {
+	cfg := smokeConfig(t, 4)
+	cfg.Name = "smoke/cells"
+	cfg.Topology.Cells = 2
+	cfg.LatencyOps = 0
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 2 {
+		t.Fatalf("got %d cell sections, want 2", len(res.Cells))
+	}
+	sum := 0
+	for _, c := range res.Cells {
+		t.Logf("cell %d: reads=%d eligible=%d bad=%d p=%.3g", c.Cell, c.Reads, c.EligibleReads, c.EligibleBad, c.PValue)
+		if c.EligibleReads == 0 || !c.Pass {
+			t.Errorf("cell %d section: eligible=%d pass=%v", c.Cell, c.EligibleReads, c.Pass)
+		}
+		sum += c.Reads
+	}
+	if sum != res.Reads {
+		t.Errorf("cell sections cover %d reads, run has %d", sum, res.Reads)
+	}
+	if !res.Pass {
+		t.Errorf("two-cell smoke failed: ε=%.5f p=%.3g", res.Epsilon, res.PValue)
+	}
+}
+
+// TestLoadCrashEligibility: reads that follow a write some crashed member
+// never acknowledged fall outside the theorems' premise, so the checker
+// keeps them out of the bound test, as it does for chaos runs.
+func TestLoadCrashEligibility(t *testing.T) {
+	cfg := smokeConfig(t, 6)
+	cfg.Name = "smoke/crash"
+	cfg.CrashN = 20
+	cfg.LatencyOps = 0
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := res.Reads - res.Unavailable
+	if res.EligibleReads == 0 || res.EligibleReads >= answered {
+		t.Errorf("eligible reads %d, answered reads %d: partial writes did not leave the bound test",
+			res.EligibleReads, answered)
+	}
+	t.Logf("reads=%d answered=%d eligible=%d stale=%d eligible_bad=%d pass=%v",
+		res.Reads, answered, res.EligibleReads, res.Stale, res.EligibleBad, res.Pass)
+}
+
+// TestLoadConfigValidation: churn and crash shapes that cannot run are
+// rejected by Run up front instead of panicking inside a SimClock worker.
+func TestLoadConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"CrashN=N under churn", func(c *Config) { c.Waves, c.WaveSize, c.CrashN = 1, 1, c.System.N() }},
+		{"CrashN>N", func(c *Config) { c.CrashN = c.System.N() + 1 }},
+		{"CrashN<0", func(c *Config) { c.CrashN = -1 }},
+		{"WaveSize<0", func(c *Config) { c.Waves, c.WaveSize = 1, -1 }},
+		{"Waves<0", func(c *Config) { c.Waves, c.WaveSize = -1, 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smokeConfig(t, 1)
+			tc.edit(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("Run accepted an invalid config")
+			}
+		})
+	}
 }
 
 // TestLoadDeterminism is the replay contract: two runs of one Config give

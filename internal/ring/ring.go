@@ -34,6 +34,21 @@ import (
 // trivially cheap.
 const DefaultVnodes = 64
 
+// MaxPoints caps a ring's size, members × vnodes. Views are read back from
+// the data plane (register.ViewKey), where a Byzantine replica can forge
+// one; without a ceiling a 21-byte view claiming 2³²−1 vnodes would make
+// New allocate tens of gigabytes. 2¹⁶ points (1 MiB) is 1024 cells at
+// DefaultVnodes.
+const MaxPoints = 1 << 16
+
+// checkSize rejects rings over MaxPoints; vnodes is already defaulted.
+func checkSize(members, vnodes int) error {
+	if vnodes > MaxPoints || members > MaxPoints/vnodes {
+		return fmt.Errorf("ring: %d members × %d vnodes exceeds the %d-point ceiling", members, vnodes, MaxPoints)
+	}
+	return nil
+}
+
 // point is one virtual node: a position on the hash circle owned by a cell.
 type point struct {
 	hash uint64
@@ -59,6 +74,9 @@ func New(members []int, vnodes int) (*Ring, error) {
 	}
 	if vnodes < 1 {
 		return nil, fmt.Errorf("ring: vnodes %d must be positive", vnodes)
+	}
+	if err := checkSize(len(members), vnodes); err != nil {
+		return nil, err
 	}
 	seen := make(map[int]bool, len(members))
 	r := &Ring{
@@ -168,7 +186,8 @@ func (v View) Encode() []byte {
 	return buf
 }
 
-// DecodeView parses an encoded view.
+// DecodeView parses an encoded view, rejecting one whose ring would exceed
+// MaxPoints before allocating anything for it.
 func DecodeView(b []byte) (View, error) {
 	if len(b) < 1+8+4+4 || b[0] != viewMagic {
 		return View{}, fmt.Errorf("ring: malformed view encoding (%d bytes)", len(b))
@@ -180,6 +199,13 @@ func DecodeView(b []byte) (View, error) {
 	n := int(binary.BigEndian.Uint32(b[13:17]))
 	if len(b) != 17+4*n {
 		return View{}, fmt.Errorf("ring: view encoding truncated: %d members, %d bytes", n, len(b))
+	}
+	vnodes := v.Vnodes
+	if vnodes == 0 {
+		vnodes = DefaultVnodes
+	}
+	if err := checkSize(n, vnodes); err != nil {
+		return View{}, err
 	}
 	v.Members = make([]int, n)
 	for i := 0; i < n; i++ {

@@ -1,7 +1,10 @@
 package ring
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -114,4 +117,46 @@ func TestViewEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := DecodeView(append(v.Encode(), 0)); err == nil {
 		t.Fatal("over-long view should fail")
 	}
+}
+
+// TestDecodeViewRejectsOversizedRing: a forged 21-byte view claiming one
+// member with 2³²−1 vnodes must be refused by the decoder, before anything
+// is allocated for it, and by New.
+func TestDecodeViewRejectsOversizedRing(t *testing.T) {
+	b := View{Version: 1, Members: []int{0}}.Encode()
+	binary.BigEndian.PutUint32(b[9:13], math.MaxUint32)
+	if len(b) != 21 {
+		t.Fatalf("forged view is %d bytes, want 21", len(b))
+	}
+	if v, err := DecodeView(b); err == nil {
+		t.Fatalf("DecodeView accepted %d vnodes", v.Vnodes)
+	}
+	if _, err := New([]int{0, 1}, MaxPoints/2+1); err == nil {
+		t.Fatal("New accepted a ring over MaxPoints")
+	}
+	if _, err := New([]int{0, 1}, MaxPoints/2); err != nil {
+		t.Fatalf("New refused a ring of exactly MaxPoints: %v", err)
+	}
+}
+
+// FuzzDecodeView: decoding arbitrary bytes must never panic or allocate
+// past the ring ceiling; a decoded view must materialize its ring and
+// re-encode to the exact input bytes.
+func FuzzDecodeView(f *testing.F) {
+	f.Add(View{Version: 7, Members: []int{0, 1, 3}, Vnodes: 32}.Encode())
+	f.Add(View{Version: 1, Members: []int{0}}.Encode())
+	f.Add(View{Version: 2, Members: []int{2, 2}, Vnodes: 4}.Encode())
+	f.Add([]byte{viewMagic})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := DecodeView(b)
+		if err != nil {
+			return
+		}
+		if r, err := v.Ring(); err == nil && len(r.points) > MaxPoints {
+			t.Fatalf("ring of %d points exceeds MaxPoints", len(r.points))
+		}
+		if enc := v.Encode(); !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", b, enc)
+		}
+	})
 }
